@@ -22,8 +22,6 @@ from .polyring import (
     MultiPoly,
     TruncatedSeries,
     expand_inverse_product,
-    homogeneous_component,
-    series_truncated_mul,
 )
 from .schur import SchurContext, hook_schur, schur, schur_sum, skew_schur
 from .weyl import (
@@ -67,9 +65,7 @@ __all__ = [
     "hook_condition",
     "MultiPoly",
     "TruncatedSeries",
-    "series_truncated_mul",
     "expand_inverse_product",
-    "homogeneous_component",
     "SchurContext",
     "schur",
     "skew_schur",

@@ -32,15 +32,7 @@ from .kostant import (
 )
 from .partitions import Partition, enumerate_partitions
 from .schur import SchurContext, hook_schur, schur
-from .weyl import (
-    ALTERNANT_RANK_LIMIT,
-    RootSystemB,
-    Weight,
-    dim_gl,
-    dim_so,
-    phi_sigma,
-    w1_element,
-)
+from .weyl import ALTERNANT_RANK_LIMIT, Weight, dim_gl, dim_so, w1_element
 
 DEGREE_ENV = "PARAFOCK_DEGREE"
 DEFAULT_DEGREES = {"paraboson": 10, "parastat": 8}
@@ -109,26 +101,18 @@ def _cmd_hook_schur(args) -> int:
 def _cmd_w1(args) -> int:
     _check_rank_limit(args, args.n)
     n = args.n
-    rs = RootSystemB(n)
     rows = []
-    from itertools import combinations
-
-    for r in range(n + 1):
-        for I in combinations(range(1, n + 1), r):
-            sigma = w1_element(I, n)
-            phis = phi_sigma(sigma, rs)
-            mu = (
-                kostant_weight_diagram(sigma, n, 0)
-            )
-            rows.append(
-                {
-                    "I": list(I),
-                    "word": list(sigma.word),
-                    "signs": list(sigma.signs),
-                    "num_phi": len(phis),
-                    "mu": mu.to_json(),
-                }
-            )
+    for e in sorted(cohomology_via_w1(n, 0).entries, key=lambda e: (len(e.source), e.source)):
+        sigma = w1_element(e.source, n)
+        rows.append(
+            {
+                "I": list(e.source),
+                "word": list(sigma.word),
+                "signs": list(sigma.signs),
+                "num_phi": e.k,
+                "mu": e.diagram.to_json(),
+            }
+        )
     if args.format == "json":
         print(_dump(rows))
     else:
@@ -146,14 +130,6 @@ def _cmd_w1(args) -> int:
                 )
             )
     return 0
-
-
-def kostant_weight_diagram(sigma, n: int, p: int) -> Partition:
-    """Dominant diagram of sigma(rho + p theta) - rho after reflection."""
-    from .weyl import kostant_weight
-
-    w = kostant_weight(sigma, Weight.p_theta(n, p), n)
-    return (w.reversed_negated() + Weight.p_theta(n, p)).to_partition()
 
 
 def _cmd_cohomology(args) -> int:

@@ -161,13 +161,14 @@ def _sign_exponent(mu: Partition) -> int:
     return (mu.size + frobenius_decompose(mu).rank) // 2
 
 
-def _denominator_factors(n: int, nvars: int | None = None) -> list[MultiPoly]:
-    """Factors 1 - x_i and 1 - x_i x_j (i < j) in the first n variables."""
-    nv = n if nvars is None else nvars
+def _denominator_factors(n: int, m: int = 0) -> list[MultiPoly]:
+    """Factors 1 - x_i over all n + m variables and 1 - x_i x_j (i < j) over
+    same-parity pairs."""
+    nv = n + m
     one = MultiPoly.one(nv)
-    fs = [one - MultiPoly.variable(nv, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
+    fs = [one - MultiPoly.variable(nv, i) for i in range(nv)]
+    for block in (range(0, n), range(n, nv)):
+        for i, j in combinations(block, 2):
             fs.append(one - MultiPoly.variable(nv, i) * MultiPoly.variable(nv, j))
     return fs
 
@@ -187,18 +188,6 @@ def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
             xi = MultiPoly.variable(n, i)
             fs.append(one - xi * xi)
     return _product(fs, n)
-
-
-def _parastat_denominator(n: int, m: int) -> MultiPoly:
-    """prod_i (1 - x_i) over all variables, times 1 - x_i x_j over
-    same-parity pairs i < j."""
-    nv = n + m
-    one = MultiPoly.one(nv)
-    fs = [one - MultiPoly.variable(nv, i) for i in range(nv)]
-    for block in (range(0, n), range(n, nv)):
-        for i, j in combinations(block, 2):
-            fs.append(one - MultiPoly.variable(nv, i) * MultiPoly.variable(nv, j))
-    return _product(fs, nv)
 
 
 def _parastat_mixed_pairs(n: int, m: int) -> MultiPoly:
@@ -425,7 +414,7 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
         total = total + term if _sign_exponent(mu) % 2 == 0 else total - term
     lhs = _parastat_mixed_pairs(n, m) * total
     tail = schur_sum(("hook", p), ctx, D)
-    rhs = TruncatedSeries(_parastat_denominator(n, m), math.inf) * tail
+    rhs = TruncatedSeries(_product(_denominator_factors(n, m), nv), math.inf) * tail
     return _finish(
         "parastat", n, m, p, D, lhs, rhs.poly, t0, conjecture=True
     )

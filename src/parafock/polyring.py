@@ -27,9 +27,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "MultiPoly",
     "TruncatedSeries",
-    "series_truncated_mul",
     "expand_inverse_product",
-    "homogeneous_component",
 ]
 
 
@@ -357,18 +355,6 @@ class TruncatedSeries:
     def nvars(self) -> int:
         return self.poly.nvars
 
-    def component(self, d: int) -> MultiPoly:
-        if self.valid_degree != math.inf and d > self.valid_degree:
-            raise ValueError(
-                f"component {d} requested beyond valid degree {self.valid_degree}"
-            )
-        return self.poly.component2(2 * d)
-
-    def truncate(self, valid_degree) -> "TruncatedSeries":
-        if valid_degree > self.valid_degree:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.poly, valid_degree)
-
     def _coerce(self, other) -> "TruncatedSeries | None":
         if isinstance(other, TruncatedSeries):
             return other
@@ -432,19 +418,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.poly}, valid_degree={self.valid_degree})"
-
-
-def series_truncated_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product of truncated series, valid through the weaker bound."""
-    return a * b
-
-
-def homogeneous_component(poly: MultiPoly, d) -> MultiPoly:
-    """Terms of ``poly`` of total degree exactly ``d`` (may be half-integral)."""
-    d2 = 2 * d
-    if d2 != int(d2):
-        raise ValueError(f"degree must be a multiple of 1/2, got {d}")
-    return poly.component2(int(d2))
 
 
 def _geometric_factor(factor: MultiPoly) -> tuple[tuple[int, ...], int]:

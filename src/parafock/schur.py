@@ -19,6 +19,10 @@ Hook Schur polynomials come either from the outer-product expansion over
 sub-diagrams (``br``: sum of s_mu(even) * s_{lambda'/mu'}(odd)) or from
 super-semistandard tableaux (``tab``).  hs_lambda vanishes exactly when the
 diagram does not fit in the (n|m) hook.
+
+All ``tab`` engines (plain, skew and hook) share one super-tableau
+enumerator; with no odd letters (m = 0) its tableaux are the ordinary
+semistandard ones.
 """
 
 from __future__ import annotations
@@ -159,97 +163,40 @@ def _sn_alternant(exponents: list[int], ctx: SchurContext) -> MultiPoly:
     return poly
 
 
-def _row_fillings(
-    width: int, lower: list[int], nletters: int
-) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing rows of given width with per-cell lower bounds."""
-    row = [0] * width
-
-    def rec(t: int, minval: int) -> Iterator[tuple[int, ...]]:
-        if t == width:
-            yield tuple(row)
-            return
-        for v in range(max(minval, lower[t]), nletters):
-            row[t] = v
-            yield from rec(t + 1, v)
-
-    yield from rec(0, 0)
-
-
-def _iter_ssyt_contents(
-    outer: Partition, inner: Partition, nletters: int
+def _iter_super_contents(
+    lam: Partition, n: int, m: int, inner: Partition = Partition()
 ) -> Iterator[list[int]]:
-    """Content vectors of column-strict tableaux of shape outer/inner."""
-    rows = len(outer)
-    if any(inner.part(i) > outer.part(i) for i in range(len(inner))):
-        return
-    if rows == 0:
-        yield [0] * nletters
-        return
-
-    content = [0] * nletters
-    prev: dict[int, int] = {}
-
-    def rec(r: int, prev_row: dict[int, int]) -> Iterator[list[int]]:
-        if r == rows:
-            yield list(content)
-            return
-        lo, hi = inner.part(r), outer[r]
-        width = hi - lo
-        if width < 0:
-            return
-        if width == 0:
-            yield from rec(r + 1, {})
-            return
-        lower = [
-            prev_row[c] + 1 if c in prev_row else 0 for c in range(lo, hi)
-        ]
-        if any(b >= nletters for b in lower):
-            return
-        for filling in _row_fillings(width, lower, nletters):
-            for v in filling:
-                content[v] += 1
-            yield from rec(r + 1, {c: v for c, v in zip(range(lo, hi), filling)})
-            for v in filling:
-                content[v] -= 1
-
-    yield from rec(0, prev)
-
-
-def _iter_super_contents(lam: Partition, n: int, m: int) -> Iterator[list[int]]:
-    """Content vectors of super-semistandard tableaux on n even + m odd letters.
+    """Content vectors of super-semistandard tableaux of shape lam/inner.
 
     Letters 0..n-1 are even, n..n+m-1 odd, totally ordered by value.  Rows
     and columns weakly increase; even letters repeat only along rows, odd
-    letters only down columns.
+    letters only down columns.  With m = 0 these are the column-strict
+    tableaux.  Cells of ``inner`` carry no entry and constrain nothing.
     """
-    cells = [(r, c) for r, row_len in enumerate(lam) for c in range(row_len)]
+    cells = [
+        (r, c) for r, row_len in enumerate(lam) for c in range(inner.part(r), row_len)
+    ]
     grid: dict[tuple[int, int], int] = {}
     content = [0] * (n + m)
-
-    def ok(r: int, c: int, v: int) -> bool:
-        left = grid.get((r, c - 1))
-        if left is not None:
-            if v < left or (v == left and left >= n):
-                return False
-        above = grid.get((r - 1, c))
-        if above is not None:
-            if v < above or (v == above and above < n):
-                return False
-        return True
 
     def rec(idx: int) -> Iterator[list[int]]:
         if idx == len(cells):
             yield list(content)
             return
         r, c = cells[idx]
-        for v in range(n + m):
-            if ok(r, c, v):
-                grid[(r, c)] = v
-                content[v] += 1
-                yield from rec(idx + 1)
-                content[v] -= 1
-                del grid[(r, c)]
+        lo = 0
+        left = grid.get((r, c - 1))
+        if left is not None:
+            lo = left + (left >= n)
+        above = grid.get((r - 1, c))
+        if above is not None:
+            lo = max(lo, above + (above < n))
+        for v in range(lo, n + m):
+            grid[(r, c)] = v
+            content[v] += 1
+            yield from rec(idx + 1)
+            content[v] -= 1
+        grid.pop((r, c), None)
 
     yield from rec(0)
 
@@ -284,7 +231,7 @@ def schur(lam, ctx: SchurContext, algorithm: str = "jt") -> MultiPoly:
         denominator = _sn_alternant(delta, ctx)
         return numerator.exact_div(denominator)
     if algorithm == "tab":
-        return _content_sum(_iter_ssyt_contents(lam, Partition(), ctx.n), ctx.nvars)
+        return _content_sum(_iter_super_contents(lam, ctx.n, 0), ctx.nvars)
     raise ValueError(f"unknown algorithm {algorithm!r} (expected jt, alt or tab)")
 
 
@@ -296,7 +243,7 @@ def skew_schur(lam, mu, ctx: SchurContext, algorithm: str = "jt") -> MultiPoly:
     if algorithm == "jt":
         return _jt_det(lam, mu, lambda k: ctx.h(k, "even"), ctx.nvars)
     if algorithm == "tab":
-        return _content_sum(_iter_ssyt_contents(lam, mu, ctx.n), ctx.nvars)
+        return _content_sum(_iter_super_contents(lam, ctx.n, 0, mu), ctx.nvars)
     raise ValueError(f"unknown algorithm {algorithm!r} (expected jt or tab)")
 
 

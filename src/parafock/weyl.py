@@ -36,13 +36,9 @@ __all__ = [
     "ALTERNANT_RANK_LIMIT",
 ]
 
-from .polyring import MultiPoly
+from .polyring import MultiPoly, _fmt_half
 
 ALTERNANT_RANK_LIMIT = 6
-
-
-def _fmt_half(d: int) -> str:
-    return str(d // 2) if d % 2 == 0 else f"{d}/2"
 
 
 class Weight:

@@ -329,6 +329,8 @@ def test_computation_errors_exit_two(capsys):
     assert code == 2 and "--n must be >= 1" in err
     code, _, err = run(capsys, "verify", "--identity", "parafermion", "--n", "3..1", "--p", "1")
     assert code == 2 and "empty range" in err
+    code, out, err = run(capsys, "w1", "--n", "0")
+    assert code == 2 and out == "" and "n must be >= 1" in err
 
 
 def test_module_entry_point_runs_in_subprocess():
