@@ -202,9 +202,11 @@ def _cmd_verify(args) -> int:
     identity = args.identity
     ns = _parse_range(args.n)
     ps = _parse_range(args.p)
-    ms = _parse_range(args.m) if args.m is not None else [None]
     if identity == "parastat" and args.m is None:
         raise ValueError("parastat needs --m")
+    if identity != "parastat" and args.m is not None:
+        raise ValueError(f"--m applies only to parastat, not {identity}")
+    ms = _parse_range(args.m) if args.m is not None else [None]
     _check_rank_limit(args, max(ns), max(ms) if ms != [None] else None)
     for v, name in ((min(ns), "--n"), (min(ps), "--p")):
         if v < 0:
@@ -219,8 +221,7 @@ def _cmd_verify(args) -> int:
                 if identity == "parafermion":
                     reports.append(verify_parafermion_identity(n, p))
                 elif identity == "weyl-character":
-                    max_rank = n if args.force else ALTERNANT_RANK_LIMIT
-                    reports.append(verify_weyl_character(n, p, max_rank))
+                    reports.append(verify_weyl_character(n, p, max_rank=n))
                 elif identity == "paraboson":
                     D = _default_degree(identity, args)
                     reports.append(verify_paraboson_identity(n, p, D, "printed"))
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("parafermion", "paraboson", "parastat", "weyl-character"),
     )
     sp.add_argument("--n", required=True, help="rank, or inclusive range like 1..3")
-    sp.add_argument("--m", help="odd variables (parastat), int or range")
+    sp.add_argument("--m", help="odd variables, int or range (parastat only)")
     sp.add_argument("--p", required=True, help="order, int or inclusive range")
     sp.add_argument(
         "--degree",

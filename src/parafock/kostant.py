@@ -14,7 +14,10 @@ table:
 
 On top of the tables sit exact verdicts for three Schur-polynomial
 identities (parafermionic, parabosonic, parastatistics) and for the
-Weyl-character/branching consistency check.  Everything is compared by
+Weyl-character/branching consistency check.  The left side of each of the
+three identities is the Euler-Poincare characteristic of the free
+resolution: the alternating sum over a ``cohomology_via_partitions`` table,
+each entry signed by its degree k.  Everything is compared by
 cross-multiplied integer polynomial arithmetic; nothing is ever divided
 or rounded, and a failure reports the first offending monomial.
 """
@@ -157,10 +160,6 @@ def branching_character(n: int, p: int) -> MultiPoly:
     return schur_sum(("max_columns", p), ctx, math.inf).poly
 
 
-def _sign_exponent(mu: Partition) -> int:
-    return (mu.size + frobenius_decompose(mu).rank) // 2
-
-
 def _denominator_factors(n: int, m: int = 0) -> list[MultiPoly]:
     """Factors 1 - x_i over all n + m variables and 1 - x_i x_j (i < j) over
     same-parity pairs."""
@@ -173,13 +172,6 @@ def _denominator_factors(n: int, m: int = 0) -> list[MultiPoly]:
     return fs
 
 
-def _product(factors: list[MultiPoly], nvars: int) -> MultiPoly:
-    out = MultiPoly.one(nvars)
-    for f in factors:
-        out = out * f
-    return out
-
-
 def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
     fs = _denominator_factors(n)
     if symmetric:
@@ -187,7 +179,7 @@ def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
         for i in range(n):
             xi = MultiPoly.variable(n, i)
             fs.append(one - xi * xi)
-    return _product(fs, n)
+    return math.prod(fs, start=MultiPoly.one(n))
 
 
 def _parastat_mixed_pairs(n: int, m: int) -> MultiPoly:
@@ -199,6 +191,15 @@ def _parastat_mixed_pairs(n: int, m: int) -> MultiPoly:
         for j in range(n, nv):
             out = out * (one + MultiPoly.variable(nv, i) * MultiPoly.variable(nv, j))
     return out
+
+
+def _euler_characteristic(entries, term, nvars: int) -> MultiPoly:
+    """Euler-Poincare characteristic: sum of (-1)^k term(mu^(p)) over entries."""
+    total = MultiPoly.zero(nvars)
+    for e in entries:
+        t = term(e.diagram)
+        total = total - t if e.k % 2 else total + t
+    return total
 
 
 def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSeries:
@@ -334,25 +335,11 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     _validate_np(n, p)
     t0 = time.perf_counter()
     ctx = SchurContext(n)
-    lhs = MultiPoly.zero(n)
-    for mu in enumerate_self_conjugate_in_square(n):
-        term = schur(augment_arms(mu, p), ctx, "jt")
-        lhs = lhs + term if _sign_exponent(mu) % 2 == 0 else lhs - term
+    lhs = _euler_characteristic(
+        cohomology_via_partitions(n, p).entries, lambda lam: schur(lam, ctx, "jt"), n
+    )
     rhs = _paraboson_denominator(n, symmetric=False) * branching_character(n, p)
     return _finish("parafermion", n, None, p, None, lhs, rhs, t0)
-
-
-def _paraboson_numerator_diagrams(n: int, p: int) -> list[Partition]:
-    """Self-conjugate mu whose conjugated augmentation still fits in n rows.
-
-    [mu^(p)]' has mu_1 + p rows ... precisely: first row of mu^(p) is
-    alpha_1 + p + 1, so the survivors are exactly the self-conjugate
-    diagrams inside the (n-p) x (n-p) square.
-    """
-    q = n - p
-    if q < 1:
-        return [Partition()]
-    return enumerate_self_conjugate_in_square(q)
 
 
 def verify_paraboson_identity(
@@ -374,10 +361,12 @@ def verify_paraboson_identity(
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {valid_degree}")
     ctx = SchurContext(n)
-    lhs = MultiPoly.zero(n)
-    for mu in _paraboson_numerator_diagrams(n, p):
-        term = schur(augment_arms(mu, p).conjugate(), ctx, "jt")
-        lhs = lhs + term if _sign_exponent(mu) % 2 == 0 else lhs - term
+    # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < n - p give a
+    # nonzero Schur polynomial in n variables: the (n-p) x (n-p) square.
+    table = cohomology_via_partitions(max(n - p, 1), p)
+    lhs = _euler_characteristic(
+        table.entries, lambda lam: schur(lam.conjugate(), ctx, "jt"), n
+    )
     tail = schur_sum(("max_rows", p), ctx, D)
     rhs = TruncatedSeries(_paraboson_denominator(n, denominator == "symmetric"), math.inf) * tail
     return _finish(
@@ -405,16 +394,17 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
         raise ValueError(f"degree bound must be >= 0, got {valid_degree}")
     ctx = SchurContext(n, m)
     nv = n + m
-    total = MultiPoly.zero(nv)
-    for mu in enumerate_self_conjugate_in_square(max(D, 1)):
-        diagram = augment_arms(mu, p)
-        if diagram.size > D or not hook_condition(diagram, n, m):
-            continue
-        term = hook_schur(diagram, ctx, "br")
-        total = total + term if _sign_exponent(mu) % 2 == 0 else total - term
+    # An arm a adds 2a + 1 + p boxes to mu^(p), so arms above (D - 1 - p) / 2
+    # cannot fit in degree D: the ((D + 1 - p) // 2)-square holds every survivor.
+    table = cohomology_via_partitions(max((D + 1 - p) // 2, 1), p)
+    kept = [
+        e for e in table.entries if e.diagram.size <= D and hook_condition(e.diagram, n, m)
+    ]
+    total = _euler_characteristic(kept, lambda lam: hook_schur(lam, ctx, "br"), nv)
     lhs = _parastat_mixed_pairs(n, m) * total
     tail = schur_sum(("hook", p), ctx, D)
-    rhs = TruncatedSeries(_product(_denominator_factors(n, m), nv), math.inf) * tail
+    denominator = math.prod(_denominator_factors(n, m), start=MultiPoly.one(nv))
+    rhs = TruncatedSeries(denominator, math.inf) * tail
     return _finish(
         "parastat", n, m, p, D, lhs, rhs.poly, t0, conjecture=True
     )

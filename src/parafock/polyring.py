@@ -356,12 +356,12 @@ class TruncatedSeries:
         return self.poly.nvars
 
     def _coerce(self, other) -> "TruncatedSeries | None":
+        """Lift ``other`` to a series; mixed variable counts raise ValueError."""
         if isinstance(other, TruncatedSeries):
+            self.poly._coerce(other.poly)
             return other
-        if isinstance(other, (MultiPoly, int)):
-            p = other if isinstance(other, MultiPoly) else MultiPoly.constant(self.nvars, other)
-            return TruncatedSeries(p, math.inf)
-        return None
+        p = self.poly._coerce(other)
+        return None if p is None else TruncatedSeries(p, math.inf)
 
     def __add__(self, other) -> "TruncatedSeries":
         other = self._coerce(other)

@@ -1,12 +1,16 @@
 """Command-line interface: output contracts, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from parafock.cli import DEGREE_ENV, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -300,6 +304,7 @@ def test_rank_limit_guard(capsys):
         ("cohomology", "--n", "7", "--p", "1"),
         ("branch", "--n", "8", "--p", "1"),
         ("verify", "--identity", "parafermion", "--n", "7", "--p", "1"),
+        ("verify", "--identity", "weyl-character", "--n", "7", "--p", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -331,6 +336,11 @@ def test_computation_errors_exit_two(capsys):
     assert code == 2 and "empty range" in err
     code, out, err = run(capsys, "w1", "--n", "0")
     assert code == 2 and out == "" and "n must be >= 1" in err
+    for identity, m in (("parafermion", "1..3"), ("paraboson", "1"), ("weyl-character", "9")):
+        code, out, err = run(
+            capsys, "verify", "--identity", identity, "--n", "1", "--m", m, "--p", "1"
+        )
+        assert code == 2 and out == "" and "--m applies only to parastat" in err
 
 
 def test_module_entry_point_runs_in_subprocess():
@@ -338,6 +348,7 @@ def test_module_entry_point_runs_in_subprocess():
         [sys.executable, "-m", "parafock", "schur", "--lambda", "1,1", "--n", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [{"exp": [2, 2], "coef": "1"}]

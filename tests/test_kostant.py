@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from parafock import kostant
 from parafock.kostant import (
     CohomologyEntry,
     _first_discrepancy,
@@ -225,6 +226,29 @@ def test_parastat_reports():
     assert rep.m == 1 and rep.degree == 6
     assert verify_parastat_identity(1, 2, 2, 5).passed
     assert verify_parastat_identity(2, 1, 1, 5).passed
+    # includes D <= p, where only the empty diagram survives
+    for n in range(3):
+        for m in range(3):
+            if n + m == 0:
+                continue
+            for p in range(4):
+                for D in range(10):
+                    assert verify_parastat_identity(n, m, p, D).passed, (n, m, p, D)
+
+
+def test_parastat_enumerates_only_diagrams_that_fit_the_degree(monkeypatch):
+    enumerated = []
+    real = kostant.enumerate_self_conjugate_in_square
+
+    def spy(n):
+        out = real(n)
+        enumerated.extend(out)
+        return out
+
+    monkeypatch.setattr(kostant, "enumerate_self_conjugate_in_square", spy)
+    assert verify_parastat_identity(1, 1, 1, 14).passed
+    # arms a with 2a + 2 <= 14: the 7 x 7 square, not the 14 x 14 one
+    assert 0 < len(enumerated) <= 2 ** 7
 
 
 def test_parastat_degenerations_match_single_block_identities():

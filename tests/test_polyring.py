@@ -159,6 +159,16 @@ def test_exact_div_classic_quotient():
 
 # -- truncated series ---------------------------------------------------------
 
+def test_series_mixed_variable_counts_raise():
+    two = TruncatedSeries(MultiPoly.variable(2, 0) + 1, 3)
+    one = TruncatedSeries(MultiPoly.variable(1, 0) + 1, 3)
+    exact_one = TruncatedSeries(MultiPoly.one(1), math.inf)
+    for a, b in ((two, one), (one, two), (two, MultiPoly.one(1)), (two, exact_one)):
+        for op in (lambda: a * b, lambda: a + b, lambda: a - b):
+            with pytest.raises(ValueError, match="mixed variable counts"):
+                op()
+
+
 def test_series_drops_terms_beyond_bound():
     x = MultiPoly.variable(1, 0)
     s = TruncatedSeries(x ** 5 + x + 1, 3)
