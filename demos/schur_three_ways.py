@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""One Schur polynomial, three independent engines, plus the hook variant.
+"""One Schur polynomial, three independent engines and the fast default,
+plus the hook variant.
 
-The package keeps three algorithms for s_lambda precisely so they can
-cross-check each other: a Jacobi-Trudi determinant, a bialternant quotient
-computed by exact polynomial division, and a tableau sum.  Hook Schur
-polynomials get two engines of their own.
+The default engine is the Gelfand-Tsetlin branching rule, which only
+shifts exponents and adds.  The package keeps three more algorithms for
+s_lambda precisely so they can cross-check it and each other: a
+Jacobi-Trudi determinant, a bialternant quotient computed by exact
+polynomial division, and a tableau sum.  Hook Schur polynomials get two
+engines of their own.
 """
 
 from parafock import Partition, SchurContext, dim_gl, hook_schur, schur, skew_schur
@@ -14,18 +17,20 @@ def main():
     lam = Partition([3, 1])
     ctx = SchurContext(3)
 
-    print(f"s_{list(lam.parts)} in 3 variables, three ways:")
+    print(f"s_{list(lam.parts)} in 3 variables, four ways:")
+    by_branch = schur(lam, ctx, "gt")
     by_det = schur(lam, ctx, "jt")
     by_quot = schur(lam, ctx, "alt")
     by_tab = schur(lam, ctx, "tab")
+    print(f"  branching rule {by_branch}")
     print(f"  jacobi-trudi   {by_det}")
     print(f"  bialternant    {by_quot}")
     print(f"  tableau sum    {by_tab}")
-    print(f"  all equal?     {by_det == by_quot == by_tab}")
+    print(f"  all equal?     {by_branch == by_det == by_quot == by_tab}")
 
     # Setting every variable to 1 counts the tableaux, i.e. the dimension
     # of the gl(3) module with this highest weight.
-    print(f"\n  s at x=1       {by_det.sum_of_coefficients()}")
+    print(f"\n  s at x=1       {by_branch.sum_of_coefficients()}")
     print(f"  dim_gl         {dim_gl(lam, 3)}")
 
     # Skew shapes: remove a sub-diagram, same two engines.

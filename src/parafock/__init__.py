@@ -1,7 +1,7 @@
 """Exact combinatorics of parastatistics Fock-space characters.
 
 Partitions and Frobenius coordinates, exact sparse integer polynomials,
-three independent Schur-polynomial engines plus hook Schur polynomials,
+four Schur-polynomial engines plus hook Schur polynomials,
 the type-B hyperoctahedral machinery, nilradical cohomology tables built
 two independent ways, and cross-multiplied verdicts for the parafermionic,
 parabosonic and parastatistics character identities.

@@ -289,9 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=0, help="number of odd variables")
     sp.add_argument(
         "--algorithm",
-        choices=("jt", "alt", "tab"),
-        default="jt",
-        help="determinant (jt), bialternant quotient (alt) or tableau sum (tab)",
+        choices=("gt", "jt", "alt", "tab"),
+        default="gt",
+        help=(
+            "branching rule (gt), determinant (jt), bialternant quotient (alt)"
+            " or tableau sum (tab)"
+        ),
     )
     add_format(sp)
     sp.set_defaults(func=_cmd_schur)

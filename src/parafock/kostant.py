@@ -211,7 +211,7 @@ def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSerie
     ctx = SchurContext(n)
     numerator = MultiPoly.zero(n)
     for entry in table.entries_at(k):
-        numerator = numerator + schur(entry.diagram, ctx, "jt")
+        numerator = numerator + schur(entry.diagram, ctx)
     universal = expand_inverse_product(_denominator_factors(n), valid_degree)
     return TruncatedSeries(numerator, math.inf) * universal
 
@@ -336,7 +336,7 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     t0 = time.perf_counter()
     ctx = SchurContext(n)
     lhs = _euler_characteristic(
-        cohomology_via_partitions(n, p).entries, lambda lam: schur(lam, ctx, "jt"), n
+        cohomology_via_partitions(n, p).entries, lambda lam: schur(lam, ctx), n
     )
     rhs = _paraboson_denominator(n, symmetric=False) * branching_character(n, p)
     return _finish("parafermion", n, None, p, None, lhs, rhs, t0)
@@ -365,7 +365,7 @@ def verify_paraboson_identity(
     # nonzero Schur polynomial in n variables: the (n-p) x (n-p) square.
     table = cohomology_via_partitions(max(n - p, 1), p)
     lhs = _euler_characteristic(
-        table.entries, lambda lam: schur(lam.conjugate(), ctx, "jt"), n
+        table.entries, lambda lam: schur(lam.conjugate(), ctx), n
     )
     tail = schur_sum(("max_rows", p), ctx, D)
     rhs = TruncatedSeries(_paraboson_denominator(n, denominator == "symmetric"), math.inf) * tail
@@ -401,10 +401,10 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
         e for e in table.entries if e.diagram.size <= D and hook_condition(e.diagram, n, m)
     ]
     total = _euler_characteristic(kept, lambda lam: hook_schur(lam, ctx, "br"), nv)
-    lhs = _parastat_mixed_pairs(n, m) * total
+    lhs = TruncatedSeries(_parastat_mixed_pairs(n, m), math.inf) * TruncatedSeries(total, D)
     tail = schur_sum(("hook", p), ctx, D)
     denominator = math.prod(_denominator_factors(n, m), start=MultiPoly.one(nv))
     rhs = TruncatedSeries(denominator, math.inf) * tail
     return _finish(
-        "parastat", n, m, p, D, lhs, rhs.poly, t0, conjecture=True
+        "parastat", n, m, p, D, lhs.poly, rhs.poly, t0, conjecture=True
     )

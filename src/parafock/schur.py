@@ -6,17 +6,23 @@ Schur polynomials use only the even block; hook Schur polynomials use both.
 This even-then-odd ordering is a fixed convention of the package and is
 what the CLI prints.
 
-Three independent engines compute s_lambda:
+Four engines compute s_lambda:
 
+* ``gt``  - Gelfand-Tsetlin branching rule (the default):
+  s_lambda(x_1..x_k) = sum over mu interlacing lambda of
+  s_mu(x_1..x_{k-1}) x_k^{|lambda/mu|} (Macdonald, I.(5.11)), memoized on
+  the context; it needs no polynomial multiplication, only exponent shifts
+  and additions,
 * ``jt``  - Jacobi-Trudi determinant in complete homogeneous polynomials
-  (the default),
+  (the independent oracle the fast path is tested against),
 * ``alt`` - bialternant: quotient of two antisymmetrized monomial sums,
   computed by exact polynomial division (cost grows like n!, intended as a
   cross-check for small n),
 * ``tab`` - monomial sum over semistandard tableaux.
 
 Hook Schur polynomials come either from the outer-product expansion over
-sub-diagrams (``br``: sum of s_mu(even) * s_{lambda'/mu'}(odd)) or from
+sub-diagrams (``br``: sum of s_mu(even) * s_{lambda'/mu'}(odd), the even
+factor by ``gt`` and the odd skew factor by Jacobi-Trudi) or from
 super-semistandard tableaux (``tab``).  hs_lambda vanishes exactly when the
 diagram does not fit in the (n|m) hook.
 
@@ -28,7 +34,7 @@ semistandard ones.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator
 
 from .partitions import (
@@ -49,7 +55,8 @@ __all__ = [
 
 
 class SchurContext:
-    """Variable bookkeeping plus a cache of complete homogeneous polynomials."""
+    """Variable bookkeeping plus caches of complete homogeneous polynomials
+    and of branching-rule Schur terms."""
 
     def __init__(self, n: int, m: int = 0):
         if n < 0 or m < 0:
@@ -58,6 +65,7 @@ class SchurContext:
         self.m = int(m)
         self.nvars = self.n + self.m
         self._h_cache: dict[tuple[str, int], MultiPoly] = {}
+        self._gt_cache: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
 
     def block(self, which: str) -> range:
         if which == "even":
@@ -85,6 +93,33 @@ class SchurContext:
         poly.terms = terms
         self._h_cache[key] = poly
         return poly
+
+    def _gt(self, parts: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
+        """Terms of s_lambda in the first k even variables, by branching.
+
+        Returns the cached dict itself: callers copy it before handing it out.
+        """
+        if len(parts) > k:
+            return {}
+        key = (parts, k)
+        cached = self._gt_cache.get(key)
+        if cached is not None:
+            return cached
+        if k == 0:
+            terms = {(0,) * self.nvars: 1}
+        else:
+            size, tail = sum(parts), (0,) * (self.nvars - k)
+            padded = parts + (0,) * (k - len(parts))
+            between = [range(padded[i + 1], padded[i] + 1) for i in range(k - 1)]
+            terms = {}
+            for mu in product(*between):
+                # s_mu in k-1 variables leaves slot k-1 at zero, free for x_k.
+                shift = (2 * (size - sum(mu)),) + tail
+                for e, c in self._gt(mu[: len(mu) - mu.count(0)], k - 1).items():
+                    e = e[: k - 1] + shift
+                    terms[e] = terms.get(e, 0) + c
+        self._gt_cache[key] = terms
+        return terms
 
     def __repr__(self) -> str:
         return f"SchurContext(n={self.n}, m={self.m})"
@@ -212,12 +247,16 @@ def _content_sum(contents: Iterator[list[int]], nvars: int) -> MultiPoly:
     return poly
 
 
-def schur(lam, ctx: SchurContext, algorithm: str = "jt") -> MultiPoly:
+def schur(lam, ctx: SchurContext, algorithm: str = "gt") -> MultiPoly:
     """Schur polynomial in the even variables of ``ctx``.
 
     Vanishes exactly when the diagram has more rows than even variables.
     """
     lam = as_partition(lam)
+    if algorithm == "gt":
+        poly = MultiPoly(ctx.nvars)
+        poly.terms = dict(ctx._gt(lam.parts, ctx.n))
+        return poly
     if algorithm == "jt":
         if len(lam) > ctx.n:
             return MultiPoly.zero(ctx.nvars)
@@ -232,7 +271,7 @@ def schur(lam, ctx: SchurContext, algorithm: str = "jt") -> MultiPoly:
         return numerator.exact_div(denominator)
     if algorithm == "tab":
         return _content_sum(_iter_super_contents(lam, ctx.n, 0), ctx.nvars)
-    raise ValueError(f"unknown algorithm {algorithm!r} (expected jt, alt or tab)")
+    raise ValueError(f"unknown algorithm {algorithm!r} (expected gt, jt, alt or tab)")
 
 
 def skew_schur(lam, mu, ctx: SchurContext, algorithm: str = "jt") -> MultiPoly:
@@ -273,7 +312,7 @@ def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
         h_odd = lambda k: ctx.h(k, "odd")  # noqa: E731
         total = MultiPoly.zero(ctx.nvars)
         for mu in _iter_subdiagrams(lam, ctx.n):
-            inner = schur(mu, ctx, "jt")
+            inner = schur(mu, ctx)
             if inner.is_zero():
                 continue
             outer = _jt_det(lamc, mu.conjugate(), h_odd, ctx.nvars)
@@ -308,7 +347,7 @@ def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> T
     if kind == "max_columns":
         total = MultiPoly.zero(ctx.nvars)
         for lam in enumerate_partitions(max_part=p, max_length=ctx.n):
-            total = total + schur(lam, ctx, "jt")
+            total = total + schur(lam, ctx)
         return TruncatedSeries(total, valid_degree)
     if valid_degree == math.inf:
         raise ValueError(f"constraint {kind!r} needs a finite degree bound")
@@ -316,7 +355,7 @@ def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> T
     if kind == "max_rows":
         total = MultiPoly.zero(ctx.nvars)
         for lam in enumerate_partitions(max_length=min(p, ctx.n), max_size=bound):
-            total = total + schur(lam, ctx, "jt")
+            total = total + schur(lam, ctx)
         return TruncatedSeries(total, bound)
     if kind == "hook":
         total = MultiPoly.zero(ctx.nvars)

@@ -192,6 +192,7 @@ def test_criterion_8_schur_engine_equivalence(capsys):
             ctx = SchurContext(n)
             for lam in enumerate_partitions(max_size=8):
                 ref = schur(lam, ctx, "jt")
+                assert schur(lam, ctx, "gt") == ref
                 assert schur(lam, ctx, "alt") == ref
                 assert schur(lam, ctx, "tab") == ref
         for n in range(3):

@@ -45,7 +45,7 @@ def test_schur_empty_partition_spellings(capsys):
 
 def test_schur_algorithms_agree_through_cli(capsys):
     outputs = set()
-    for algorithm in ("jt", "alt", "tab"):
+    for algorithm in ("gt", "jt", "alt", "tab"):
         code, out, _ = run(
             capsys, "schur", "--lambda", "3,1", "--n", "3", "--algorithm", algorithm
         )

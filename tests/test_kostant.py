@@ -251,6 +251,20 @@ def test_parastat_enumerates_only_diagrams_that_fit_the_degree(monkeypatch):
     assert 0 < len(enumerated) <= 2 ** 7
 
 
+def test_parafermion_builds_no_jacobi_trudi_minors(monkeypatch):
+    calls = []
+    real = SchurContext.h
+
+    def spy(self, k, which="even"):
+        calls.append((which, k))
+        return real(self, k, which)
+
+    monkeypatch.setattr(SchurContext, "h", spy)
+    assert verify_parafermion_identity(3, 2).passed
+    # the branching rule shifts exponents; it never asks for h_k
+    assert calls == []
+
+
 def test_parastat_degenerations_match_single_block_identities():
     # m = 0 is the parafermionic statement, n = 0 the parabosonic one
     assert verify_parastat_identity(2, 0, 1, 6).passed

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafock.partitions import Partition, enumerate_partitions, hook_condition
 from parafock.polyring import MultiPoly
@@ -128,8 +130,36 @@ def test_three_engines_agree():
         ctx = SchurContext(n, m)
         for lam in diagrams_up_to(6):
             ref = schur(lam, ctx, "jt")
+            assert schur(lam, ctx, "gt") == ref
             assert schur(lam, ctx, "alt") == ref
             assert schur(lam, ctx, "tab") == ref
+
+
+@st.composite
+def small_partitions(draw, max_size=10):
+    parts, room = [], max_size
+    while room and draw(st.booleans()):
+        part = draw(st.integers(1, room))
+        parts.append(part)
+        room -= part
+    return Partition(sorted(parts, reverse=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_partitions(), st.integers(0, 5), st.integers(0, 2))
+def test_branching_engine_matches_jacobi_trudi(lam, n, m):
+    ctx = SchurContext(n, m)
+    assert schur(lam, ctx, "gt") == schur(lam, ctx, "jt")
+
+
+def test_branching_engine_returns_a_fresh_polynomial():
+    ctx = SchurContext(3, 1)
+    lam = Partition([2, 1])
+    expected = schur(lam, ctx, "jt")
+    first = schur(lam, ctx)
+    assert first == expected
+    first.terms.clear()
+    assert schur(lam, ctx) == expected
 
 
 def test_skew_engines_agree():
