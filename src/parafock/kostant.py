@@ -17,9 +17,12 @@ identities (parafermionic, parabosonic, parastatistics) and for the
 Weyl-character/branching consistency check.  The left side of each of the
 three identities is the Euler-Poincare characteristic of the free
 resolution: the alternating sum over a ``cohomology_via_partitions`` table,
-each entry signed by its degree k.  Everything is compared by
-cross-multiplied integer polynomial arithmetic; nothing is ever divided
-or rounded, and a failure reports the first offending monomial.
+each entry signed by its degree k.  Those three are compared by
+cross-multiplied integer polynomial arithmetic.  The Weyl-character check
+instead straightens D_rho times the character onto strictly dominant
+weights (Brauer's formula), and expands the 2^n n!-term alternants only to
+locate a failure.  Nothing is ever divided or rounded, and a failure
+reports the first offending monomial.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ from .weyl import (
     kostant_weight,
     w1_element,
     weight_monomial,
+    _check_alternant_rank,
+    _is_weyl_invariant,
+    _straighten,
 )
 
 __all__ = [
@@ -295,6 +301,19 @@ def _finish(
 ) -> VerificationReport:
     cut = None if degree is None else 2 * degree
     disc = _first_discrepancy(lhs, rhs, cut)
+    return _report(identity, n, m, p, degree, disc, t0, **extra)
+
+
+def _report(
+    identity: str,
+    n: int,
+    m: int | None,
+    p: int,
+    degree: int | None,
+    disc: dict | None,
+    t0: float,
+    **extra,
+) -> VerificationReport:
     return VerificationReport(
         identity=identity,
         n=n,
@@ -311,18 +330,49 @@ def _finish(
 def verify_weyl_character(
     n: int, p: int, max_rank: int = ALTERNANT_RANK_LIMIT
 ) -> VerificationReport:
-    """Check D_{rho + p theta} = D_rho * exp(p theta) * branching character.
+    """Check D_{rho + p theta} = D_rho * chi, chi = exp(p theta) * branching
+    character, by straightening onto strictly dominant weights.
 
-    Both sides are Laurent polynomials built from the full 2^n n! group;
-    the comparison is exact (no division of alternants is performed).
+    If chi is not Weyl-invariant, D_rho * chi is not antisymmetric, so it
+    cannot equal the antisymmetric D_{rho + p theta}.  If chi = sum m_mu
+    exp(mu) is invariant, Brauer's formula gives D_rho * chi = sum m_mu
+    D_{rho + mu}.  Each D_{rho + mu} is +-D_nu for one strictly dominant nu,
+    or 0; the D_nu of distinct strictly dominant nu have disjoint supports,
+    so they are independent and the identity holds exactly when the
+    straightened sum is D_{rho + p theta} alone.  Neither side's 2^n n!-term
+    alternant is built, and nothing is divided.
+
+    Only on failure are both sides expanded as Laurent polynomials, to
+    locate the first offending monomial; ``max_rank`` guards that product
+    and is checked before any work.
     """
     _validate_np(n, p)
+    _check_alternant_rank(n, max_rank)
     t0 = time.perf_counter()
     rho = Weight.rho(n)
     theta_p = Weight.p_theta(n, p)
-    lhs = alternant(rho + theta_p, max_rank)
-    rhs = alternant(rho, max_rank) * weight_monomial(theta_p) * branching_character(n, p)
+    top = rho + theta_p
+    chi = weight_monomial(theta_p) * branching_character(n, p)
+    if _is_weyl_invariant(chi) and _brauer_product(rho, chi) == {top.coords: 1}:
+        return _report("weyl-character", n, None, p, None, None, t0)
+    lhs = alternant(top, max_rank)
+    rhs = alternant(rho, max_rank) * chi
     return _finish("weyl-character", n, None, p, None, lhs, rhs, t0)
+
+
+def _brauer_product(rho: Weight, chi: MultiPoly) -> dict[tuple[int, ...], int]:
+    """D_rho * chi for Weyl-invariant chi, as {strictly dominant nu: coefficient
+    of D_nu}: Brauer's formula sum m_mu D_{rho + mu}, each term straightened.
+
+    The monomial x^e is exp(-e), so it contributes D_{rho - e}.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in chi.terms.items():
+        hit = _straighten([r - x for r, x in zip(rho.coords, e)])
+        if hit is not None:
+            sign, nu = hit
+            out[nu] = out.get(nu, 0) + sign * c
+    return {nu: c for nu, c in out.items() if c}
 
 
 def verify_parafermion_identity(n: int, p: int) -> VerificationReport:

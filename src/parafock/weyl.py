@@ -259,12 +259,19 @@ def w1_element(I, n: int) -> SignedPermutation:
 
 
 def phi_sigma(sigma: SignedPermutation, rs: RootSystemB) -> list[Weight]:
-    """Positive roots sent to negative roots by sigma^{-1}."""
-    inv = sigma.inverse()
+    """Positive roots sent to negative roots by sigma^{-1}.
+
+    sigma^{-1} maps e_{word[j]} to signs[j] e_j, so coordinate j of
+    sigma^{-1}(alpha) is signs[j] * alpha_{word[j]}; no Weight is built.
+    """
+    if sigma.n != rs.n:
+        raise ValueError(f"rank mismatch: {sigma.n} vs {rs.n}")
+    moves = tuple((w - 1, s) for w, s in zip(sigma.word, sigma.signs))
+    positive = rs._pos_set
     return [
         alpha
         for alpha in rs.positive_roots
-        if not rs.is_positive_root(inv.apply(alpha))
+        if tuple(s * alpha.coords[k] for k, s in moves) not in positive
     ]
 
 
@@ -282,10 +289,7 @@ def alternant(chi: Weight, max_rank: int = ALTERNANT_RANK_LIMIT) -> MultiPoly:
     ``max_rank`` because the group is exponential in n.
     """
     n = chi.n
-    if n > max_rank:
-        raise ValueError(
-            f"rank {n} exceeds the alternant limit {max_rank}; raise max_rank to force"
-        )
+    _check_alternant_rank(n, max_rank)
     terms: dict[tuple[int, ...], int] = {}
     for word in permutations(range(1, n + 1)):
         base = SignedPermutation(word, (1,) * n)
@@ -306,6 +310,56 @@ def alternant(chi: Weight, max_rank: int = ALTERNANT_RANK_LIMIT) -> MultiPoly:
     poly = MultiPoly(n)
     poly.terms = terms
     return poly
+
+
+def _check_alternant_rank(n: int, max_rank: int) -> None:
+    if n > max_rank:
+        raise ValueError(
+            f"rank {n} exceeds the alternant limit {max_rank}; raise max_rank to force"
+        )
+
+
+def _straighten(coords) -> tuple[int, tuple[int, ...]] | None:
+    """Write a weight v (half units) as w(nu) with nu strictly dominant.
+
+    Returns ``(epsilon(w), nu)``, so that D_v = epsilon(w) D_nu, or None when
+    v is singular (a zero coordinate or two equal absolute values), where
+    D_v = 0.  The sign counts the negated coordinates plus the inversions of
+    the sort of the absolute values into decreasing order.
+    """
+    sign = 1
+    mags = []
+    for c in coords:
+        if c == 0:
+            return None
+        if c < 0:
+            sign = -sign
+            c = -c
+        for m in mags:
+            if m == c:
+                return None
+            if m < c:
+                sign = -sign
+        mags.append(c)
+    return sign, tuple(sorted(mags, reverse=True))
+
+
+def _is_weyl_invariant(poly: MultiPoly) -> bool:
+    """Whether poly is fixed by the Weyl group of B_n.
+
+    The adjacent swaps and the sign change of the last variable are the
+    simple reflections; they generate the group, so n lookups per term
+    decide invariance.
+    """
+    terms = poly.terms
+    n = poly.nvars
+    for e, c in terms.items():
+        for i in range(n - 1):
+            if terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]) != c:
+                return False
+        if n and terms.get(e[:-1] + (-e[-1],)) != c:
+            return False
+    return True
 
 
 def dim_so(highest: Weight, n: int) -> int:

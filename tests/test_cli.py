@@ -206,6 +206,18 @@ def test_verify_weyl_character(capsys):
         assert obj["status"] == "pass" and obj["degree"] is None
 
 
+def test_verify_weyl_character_beyond_the_alternant_limit(capsys):
+    # the n = 7 alternant alone has 2^7 * 7! = 645,120 terms; a pass never builds it
+    code, out, _ = run(
+        capsys,
+        "verify", "--identity", "weyl-character", "--n", "6..7", "--p", "0..2", "--force",
+    )
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(r["n"], r["p"]) for r in reports] == [(n, p) for n in (6, 7) for p in range(3)]
+    assert all(r["status"] == "pass" for r in reports)
+
+
 def test_verify_parastat_requires_m(capsys):
     code, out, err = run(
         capsys, "verify", "--identity", "parastat", "--n", "1", "--p", "1"

@@ -21,7 +21,14 @@ from parafock.kostant import (
 from parafock.partitions import Partition, frobenius_decompose
 from parafock.polyring import MultiPoly
 from parafock.schur import SchurContext, schur
-from parafock.weyl import Weight, dim_gl, dim_so
+from parafock.weyl import (
+    ALTERNANT_RANK_LIMIT,
+    Weight,
+    alternant,
+    dim_gl,
+    dim_so,
+    weight_monomial,
+)
 
 
 # -- frozen tables ---------------------------------------------------------------
@@ -170,6 +177,72 @@ def test_weyl_character_reports_pass():
             assert rep.first_discrepancy is None
             assert rep.degree is None and rep.m is None
     assert verify_weyl_character(3, 3).passed
+
+
+def _weyl_character_by_product(n, p, branching=branching_character):
+    """The monomial verdict: expand both alternants and compare term by term."""
+    rho, theta_p = Weight.rho(n), Weight.p_theta(n, p)
+    lhs = alternant(rho + theta_p)
+    rhs = alternant(rho) * weight_monomial(theta_p) * branching(n, p)
+    disc = _first_discrepancy(lhs, rhs)
+    return ("pass" if disc is None else "fail"), disc
+
+
+def test_weyl_character_straightening_matches_the_alternant_product():
+    for n in range(1, 6):
+        for p in range(4):
+            rep = verify_weyl_character(n, p)
+            assert (rep.status, rep.first_discrepancy) == _weyl_character_by_product(n, p)
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        lambda chi, n: chi + MultiPoly.variable(n, 0),  # not Weyl-invariant
+        lambda chi, n: chi * 2,
+        lambda chi, n: chi + MultiPoly.one(n),
+    ],
+    ids=["plus-x1", "times-2", "plus-1"],
+)
+def test_weyl_character_failures_match_the_alternant_product(monkeypatch, perturb):
+    real = kostant.branching_character
+
+    def broken(n, p):
+        return perturb(real(n, p), n)
+
+    monkeypatch.setattr(kostant, "branching_character", broken)
+    for n in range(1, 5):
+        for p in range(3):
+            rep = verify_weyl_character(n, p)
+            assert rep.status == "fail"
+            assert (rep.status, rep.first_discrepancy) == _weyl_character_by_product(
+                n, p, broken
+            )
+
+
+def test_weyl_character_pass_builds_no_alternant(monkeypatch):
+    calls = []
+    real = kostant.alternant
+
+    def spy(chi, max_rank=ALTERNANT_RANK_LIMIT):
+        calls.append(chi)
+        return real(chi, max_rank)
+
+    monkeypatch.setattr(kostant, "alternant", spy)
+    assert verify_weyl_character(4, 2).passed
+    # straightening onto dominant weights never walks the 2^n n! group
+    assert calls == []
+
+
+def test_weyl_character_rank_guard_precedes_any_work(monkeypatch):
+    def unreachable(n, p):
+        raise AssertionError("the rank guard must fire first")
+
+    monkeypatch.setattr(kostant, "branching_character", unreachable)
+    with pytest.raises(ValueError, match="exceeds the alternant limit 2"):
+        verify_weyl_character(3, 1, max_rank=2)
+    with pytest.raises(ValueError, match="alternant limit"):
+        verify_weyl_character(ALTERNANT_RANK_LIMIT + 1, 0)
 
 
 def test_parafermion_reports_pass():

@@ -4,6 +4,8 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafock.partitions import Partition
 from parafock.polyring import MultiPoly
@@ -21,6 +23,8 @@ from parafock.weyl import (
     phi_sigma,
     w1_element,
     weight_monomial,
+    _is_weyl_invariant,
+    _straighten,
 )
 
 
@@ -274,6 +278,54 @@ def test_alternant_rank_guard():
     with pytest.raises(ValueError):
         alternant(Weight.rho(3), max_rank=2)
     assert not alternant(Weight.rho(3), max_rank=3).is_zero()
+
+
+# -- straightening and invariance -------------------------------------------------------
+
+half_unit_weights = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(-7, 7), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(half_unit_weights)
+def test_straighten_matches_the_alternant(coords):
+    d = alternant(Weight(coords))
+    hit = _straighten(coords)
+    if hit is None:
+        assert d.is_zero()
+    else:
+        sign, nu = hit
+        assert all(a > b for a, b in zip(nu, nu[1:])) and nu[-1] > 0
+        assert d == alternant(Weight(nu)) * sign
+
+
+def test_straighten_frozen_values():
+    assert _straighten((5, 3, 1)) == (1, (5, 3, 1))
+    assert _straighten((3, 5, 1)) == (-1, (5, 3, 1))
+    assert _straighten((-1, 3, 5)) == (1, (5, 3, 1))
+    assert _straighten((3, -3)) is None
+    assert _straighten((4, 0)) is None
+
+
+def test_weyl_invariance_check():
+    n = 3
+    one = MultiPoly.one(n)
+    orbit_e1 = MultiPoly.zero(n)
+    for i in range(n):
+        for s in (2, -2):
+            e = [0] * n
+            e[i] = s
+            orbit_e1 = orbit_e1 + MultiPoly.half_term(n, e)
+    assert _is_weyl_invariant(orbit_e1 * orbit_e1 + one * 5)
+    d = alternant(Weight.rho(n))
+    assert _is_weyl_invariant(d * d)
+    # antisymmetric, symmetric only under S_n, or only under the sign changes
+    assert not _is_weyl_invariant(d)
+    assert not _is_weyl_invariant(sum((MultiPoly.variable(n, i) for i in range(n)), one))
+    assert not _is_weyl_invariant(
+        MultiPoly.half_term(n, (2, 0, 0)) + MultiPoly.half_term(n, (-2, 0, 0))
+    )
 
 
 # -- dimension formulas -------------------------------------------------------------------
