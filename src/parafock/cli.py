@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=("br", "tab"),
         default="br",
-        help="sub-diagram expansion (br) or super-tableau sum (tab)",
+        help="branching rule (br) or super-tableau sum (tab)",
     )
     add_format(sp)
     sp.set_defaults(func=_cmd_hook_schur)

@@ -22,7 +22,7 @@ is sound.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "MultiPoly",

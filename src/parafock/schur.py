@@ -20,11 +20,14 @@ Four engines compute s_lambda:
   cross-check for small n),
 * ``tab`` - monomial sum over semistandard tableaux.
 
-Hook Schur polynomials come either from the outer-product expansion over
-sub-diagrams (``br``: sum of s_mu(even) * s_{lambda'/mu'}(odd), the even
-factor by ``gt`` and the odd skew factor by Jacobi-Trudi) or from
-super-semistandard tableaux (``tab``).  hs_lambda vanishes exactly when the
-diagram does not fit in the (n|m) hook.
+Hook Schur polynomials come either from the same branching recursion run
+over all n + m variables (``br``: past the even block each odd variable
+removes a vertical strip, hs_lambda(x; y_1..y_j) = sum over nu of
+hs_nu(x; y_1..y_{j-1}) y_j^{|lambda/nu|} with lambda/nu a vertical strip;
+Macdonald I.5, Berele & Regev 1987) or from super-semistandard tableaux
+(``tab``).  hs_lambda vanishes exactly when the diagram does not fit in the
+(n|m) hook.  Jacobi-Trudi determinants serve only the ``jt`` oracle and
+``skew_schur``.
 
 All ``tab`` engines (plain, skew and hook) share one super-tableau
 enumerator; with no odd letters (m = 0) its tableaux are the ordinary
@@ -34,7 +37,7 @@ semistandard ones.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from typing import Callable, Iterator
 
 from .partitions import (
@@ -56,7 +59,8 @@ __all__ = [
 
 class SchurContext:
     """Variable bookkeeping plus caches of complete homogeneous polynomials
-    and of branching-rule Schur terms."""
+    (for the Jacobi-Trudi oracle) and of branching-rule terms, which the
+    plain (``gt``) and hook (``br``) engines share over the n + m variables."""
 
     def __init__(self, n: int, m: int = 0):
         if n < 0 or m < 0:
@@ -95,11 +99,13 @@ class SchurContext:
         return poly
 
     def _gt(self, parts: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-        """Terms of s_lambda in the first k even variables, by branching.
+        """Terms of hs_lambda in the first k of the n + m variables, by branching.
 
+        The even variables come first, so for k <= n this is s_lambda(x_1..x_k).
         Returns the cached dict itself: callers copy it before handing it out.
         """
-        if len(parts) > k:
+        even = min(k, self.n)
+        if len(parts) > even and parts[even] > k - even:
             return {}
         key = (parts, k)
         cached = self._gt_cache.get(key)
@@ -109,13 +115,22 @@ class SchurContext:
             terms = {(0,) * self.nvars: 1}
         else:
             size, tail = sum(parts), (0,) * (self.nvars - k)
-            padded = parts + (0,) * (k - len(parts))
-            between = [range(padded[i + 1], padded[i] + 1) for i in range(k - 1)]
+            if k <= self.n:
+                padded = parts + (0,) * (k - len(parts))
+                between = [range(padded[i + 1], padded[i] + 1) for i in range(k - 1)]
+                inner = product(*between)
+            else:
+                # lambda/mu a vertical strip: in each run of r equal rows the
+                # bottom j of them, j = 0..r, lose their last box.
+                runs = [(v, len(list(rows))) for v, rows in groupby(parts)]
+                blocks = [[(v,) * (r - j) + (v - 1,) * j for j in range(r + 1)] for v, r in runs]
+                inner = (sum(pick, ()) for pick in product(*blocks))
             terms = {}
-            for mu in product(*between):
-                # s_mu in k-1 variables leaves slot k-1 at zero, free for x_k.
+            for mu in inner:
+                mu = mu[: len(mu) - mu.count(0)]
+                # hs_mu in k-1 variables leaves slot k-1 at zero, free for the k-th.
                 shift = (2 * (size - sum(mu)),) + tail
-                for e, c in self._gt(mu[: len(mu) - mu.count(0)], k - 1).items():
+                for e, c in self._gt(mu, k - 1).items():
                     e = e[: k - 1] + shift
                     terms[e] = terms.get(e, 0) + c
         self._gt_cache[key] = terms
@@ -286,21 +301,6 @@ def skew_schur(lam, mu, ctx: SchurContext, algorithm: str = "jt") -> MultiPoly:
     raise ValueError(f"unknown algorithm {algorithm!r} (expected jt or tab)")
 
 
-def _iter_subdiagrams(lam: Partition, max_rows: int) -> Iterator[Partition]:
-    rows = min(len(lam), max_rows)
-
-    def rec(i: int, bound: int) -> Iterator[list[int]]:
-        if i == rows:
-            yield []
-            return
-        for v in range(min(lam[i], bound), -1, -1):
-            for rest in rec(i + 1, v):
-                yield [v, *rest]
-
-    for parts in rec(0, lam[0] if rows else 0):
-        yield Partition(parts)
-
-
 def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
     """Hook (supersymmetric) Schur polynomial hs_lambda(x_even; x_odd).
 
@@ -308,18 +308,9 @@ def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
     """
     lam = as_partition(lam)
     if algorithm == "br":
-        lamc = lam.conjugate()
-        h_odd = lambda k: ctx.h(k, "odd")  # noqa: E731
-        total = MultiPoly.zero(ctx.nvars)
-        for mu in _iter_subdiagrams(lam, ctx.n):
-            inner = schur(mu, ctx)
-            if inner.is_zero():
-                continue
-            outer = _jt_det(lamc, mu.conjugate(), h_odd, ctx.nvars)
-            if outer.is_zero():
-                continue
-            total = total + inner * outer
-        return total
+        poly = MultiPoly(ctx.nvars)
+        poly.terms = dict(ctx._gt(lam.parts, ctx.nvars))
+        return poly
     if algorithm == "tab":
         return _content_sum(_iter_super_contents(lam, ctx.n, ctx.m), ctx.nvars)
     raise ValueError(f"unknown algorithm {algorithm!r} (expected br or tab)")

@@ -24,7 +24,6 @@ from parafock.kostant import (
 )
 from parafock.partitions import (
     FrobeniusForm,
-    Partition,
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
     frobenius_compose,

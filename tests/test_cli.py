@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from parafock.cli import DEGREE_ENV, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -1,7 +1,5 @@
 """Cohomology tables (two routes) and the exact identity verdicts."""
 
-import math
-
 import pytest
 
 from parafock import kostant
@@ -335,6 +333,9 @@ def test_parafermion_builds_no_jacobi_trudi_minors(monkeypatch):
     monkeypatch.setattr(SchurContext, "h", spy)
     assert verify_parafermion_identity(3, 2).passed
     # the branching rule shifts exponents; it never asks for h_k
+    assert calls == []
+    # nor does its super form, which builds the hook Schur polynomials
+    assert verify_parastat_identity(1, 1, 1, 14).passed
     assert calls == []
 
 

@@ -146,10 +146,12 @@ def small_partitions(draw, max_size=10):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_partitions(), st.integers(0, 5), st.integers(0, 2))
+@given(small_partitions(), st.integers(0, 5), st.integers(0, 3))
 def test_branching_engine_matches_jacobi_trudi(lam, n, m):
     ctx = SchurContext(n, m)
     assert schur(lam, ctx, "gt") == schur(lam, ctx, "jt")
+    if n <= 3 and lam.size <= 8:
+        assert hook_schur(lam, ctx, "br") == hook_schur(lam, ctx, "tab")
 
 
 def test_branching_engine_returns_a_fresh_polynomial():
@@ -160,6 +162,11 @@ def test_branching_engine_returns_a_fresh_polynomial():
     assert first == expected
     first.terms.clear()
     assert schur(lam, ctx) == expected
+    expected = hook_schur(lam, ctx, "tab")
+    first = hook_schur(lam, ctx)
+    assert first == expected
+    first.terms.clear()
+    assert hook_schur(lam, ctx) == expected
 
 
 def test_skew_engines_agree():
@@ -173,10 +180,14 @@ def test_skew_engines_agree():
 
 
 def test_hook_engines_agree():
-    for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
+    for n, m in ((1, 1), (2, 1), (1, 2), (2, 2), (0, 3), (3, 0), (3, 1), (1, 3), (3, 3)):
         ctx = SchurContext(n, m)
         for lam in diagrams_up_to(5):
             assert hook_schur(lam, ctx, "br") == hook_schur(lam, ctx, "tab")
+    # long thin diagrams: the vertical strips run over many equal rows
+    ctx = SchurContext(1, 1)
+    for lam in ([2] + [1] * 7, [1] * 9, [2, 2, 2, 1, 1, 1]):
+        assert hook_schur(lam, ctx, "br") == hook_schur(lam, ctx, "tab")
 
 
 # -- classical properties -----------------------------------------------------------
