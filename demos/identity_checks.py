@@ -25,7 +25,7 @@ def main():
     for n in (1, 2, 3):
         show(verify_weyl_character(n, p=2))
 
-    print("\nparafermionic identity (exact, cross-multiplied):")
+    print("\nparafermionic identity (exact, in the Schur basis):")
     for p in (0, 1, 2):
         show(verify_parafermion_identity(n=2, p=p))
 

@@ -3,7 +3,7 @@
 Partitions and Frobenius coordinates, exact sparse integer polynomials,
 four Schur-polynomial engines plus hook Schur polynomials,
 the type-B hyperoctahedral machinery, nilradical cohomology tables built
-two independent ways, and cross-multiplied verdicts for the parafermionic,
+two independent ways, and exact verdicts for the parafermionic,
 parabosonic and parastatistics character identities.
 """
 

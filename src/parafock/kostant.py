@@ -17,12 +17,16 @@ identities (parafermionic, parabosonic, parastatistics) and for the
 Weyl-character/branching consistency check.  The left side of each of the
 three identities is the Euler-Poincare characteristic of the free
 resolution: the alternating sum over a ``cohomology_via_partitions`` table,
-each entry signed by its degree k.  Those three are compared by
-cross-multiplied integer polynomial arithmetic.  The Weyl-character check
-instead straightens D_rho times the character onto strictly dominant
-weights (Brauer's formula), and expands the 2^n n!-term alternants only to
-locate a failure.  Nothing is ever divided or rounded, and a failure
-reports the first offending monomial.
+each entry signed by its degree k.  The parafermionic and parabosonic
+identities are compared in the Schur basis: their denominator is
+symmetric, so its product with each s_lambda = a_{lambda+delta} / a_delta
+straightens term by term onto +-s_nu (type A), and neither side is
+expanded into monomials.  The parastatistics identity is compared by truncated integer
+polynomial arithmetic.  The Weyl-character check straightens D_rho times
+the character onto strictly dominant weights (Brauer's formula, type B),
+and expands the 2^n n!-term alternants only to locate a failure.  Nothing
+is ever divided or rounded, and a failure reports the first offending
+monomial.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from itertools import combinations
 from .partitions import (
     Partition,
     augment_arms,
+    enumerate_partitions,
     enumerate_self_conjugate_in_square,
     enumeration_key,
     frobenius_decompose,
@@ -54,6 +59,7 @@ from .weyl import (
     _check_alternant_rank,
     _is_weyl_invariant,
     _straighten,
+    _straighten_type_a,
 )
 
 __all__ = [
@@ -199,13 +205,13 @@ def _parastat_mixed_pairs(n: int, m: int) -> MultiPoly:
     return out
 
 
-def _euler_characteristic(entries, term, nvars: int) -> MultiPoly:
-    """Euler-Poincare characteristic: sum of (-1)^k term(mu^(p)) over entries."""
-    total = MultiPoly.zero(nvars)
+def _euler_characteristic(entries) -> dict[Partition, int]:
+    """Euler-Poincare characteristic in the Schur basis: each entry's
+    mu^(p) with sign (-1)^k, as {diagram: coefficient}."""
+    chi: dict[Partition, int] = {}
     for e in entries:
-        t = term(e.diagram)
-        total = total - t if e.k % 2 else total + t
-    return total
+        chi[e.diagram] = chi.get(e.diagram, 0) + (-1) ** e.k
+    return chi
 
 
 def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSeries:
@@ -226,11 +232,11 @@ def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSerie
 class VerificationReport:
     """Outcome of one identity check.
 
-    ``degree`` is None for exact (cross-multiplied) comparisons and the
-    truncation bound otherwise.  ``first_discrepancy`` names the smallest
-    offending monomial when the check fails.  The optional trailing fields
-    label the paraboson denominator variant and the conjectural status of
-    the parastatistics identity.
+    ``degree`` is None for exact comparisons and the truncation bound
+    otherwise.  ``first_discrepancy`` names the smallest offending monomial
+    when the check fails.  The optional trailing fields label the paraboson
+    denominator variant and the conjectural status of the parastatistics
+    identity.
     """
 
     identity: str
@@ -381,15 +387,24 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     sum over self-conjugate mu in the n x n square of
     (-1)^((|mu|+r)/2) s_{mu^(p)}  equals
     prod(1-x_i) prod_{i<j}(1-x_i x_j) times sum_{lambda inside p^n} s_lambda.
+
+    Both sides are compared as {nu: coefficient of s_nu}, which decides the
+    identity because the s_nu with at most n rows are linearly independent.
+    The left side is read off the cohomology table.  The denominator D is
+    symmetric, so D s_lambda = sum c_alpha a_{alpha+lambda+delta} / a_delta
+    over its terms c_alpha x^alpha, and each alternant straightens to
+    +-a_{nu+delta} or 0 (``_denominator_times``).  For a D that is not
+    symmetric, D a_{lambda+delta} is not this sum.  Neither side is expanded
+    into monomials and D never multiplies the branching sum; a failure
+    expands only its lowest differing degree, to name the monomial.
     """
     _validate_np(n, p)
     t0 = time.perf_counter()
-    ctx = SchurContext(n)
-    lhs = _euler_characteristic(
-        cohomology_via_partitions(n, p).entries, lambda lam: schur(lam, ctx), n
-    )
-    rhs = _paraboson_denominator(n, symmetric=False) * branching_character(n, p)
-    return _finish("parafermion", n, None, p, None, lhs, rhs, t0)
+    chi = _euler_characteristic(cohomology_via_partitions(n, p).entries)
+    lhs = {lam.parts: c for lam, c in chi.items() if len(lam) <= n}
+    family = enumerate_partitions(max_part=p, max_length=n)
+    rhs = _denominator_times(n, False, family)
+    return _report("parafermion", n, None, p, None, _schur_discrepancy(lhs, rhs, n), t0)
 
 
 def verify_paraboson_identity(
@@ -402,6 +417,11 @@ def verify_paraboson_identity(
     compared through total degree ``valid_degree``.  The printed
     denominator is prod(1-x_i) prod_{i<j}(1-x_i x_j); the "symmetric"
     variant also includes the diagonal factors 1-x_i^2.
+
+    Both variants are symmetric, which the Schur-basis comparison of
+    ``verify_parafermion_identity`` needs, so it applies here too with the
+    conjugate diagrams on the left.  Truncation at degree D keeps exactly
+    the s_nu with |nu| <= D, because s_nu is homogeneous of degree |nu|.
     """
     _validate_np(n, p)
     if denominator not in ("printed", "symmetric"):
@@ -410,18 +430,81 @@ def verify_paraboson_identity(
     D = int(valid_degree)
     if D < 0:
         raise ValueError(f"degree bound must be >= 0, got {valid_degree}")
-    ctx = SchurContext(n)
     # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < n - p give a
     # nonzero Schur polynomial in n variables: the (n-p) x (n-p) square.
     table = cohomology_via_partitions(max(n - p, 1), p)
-    lhs = _euler_characteristic(
-        table.entries, lambda lam: schur(lam.conjugate(), ctx), n
+    lhs = {}
+    for lam, c in _euler_characteristic(table.entries).items():
+        lam = lam.conjugate()
+        if len(lam) <= n and lam.size <= D:
+            lhs[lam.parts] = c
+    family = enumerate_partitions(max_length=min(p, n), max_size=D)
+    rhs = _denominator_times(n, denominator == "symmetric", family, D)
+    disc = _schur_discrepancy(lhs, rhs, n)
+    return _report("paraboson", n, None, p, D, disc, t0, denominator=denominator)
+
+
+def _denominator_times(
+    n: int, symmetric: bool, family, degree: int | None = None
+) -> dict[tuple[int, ...], int]:
+    """The paraboson denominator times sum_{lambda in family} s_lambda in n
+    variables, as {nu: coefficient of s_nu}, through total degree ``degree``.
+
+    s_lambda = a_{lambda+delta} / a_delta with a_v the S_n alternant.  Both
+    denominator variants D = sum c_alpha x^alpha are S_n-invariant, so
+    D a_{lambda+delta} = sum_w sign(w) w(D x^{lambda+delta})
+    = sum c_alpha a_{alpha+lambda+delta}; for a D that is not symmetric this
+    step fails.  Each a_{alpha+lambda+delta} is +-a_{nu+delta} with
+    |nu| = |alpha| + |lambda|, or 0, and dividing by a_delta gives +-s_nu.
+    """
+    delta = range(n - 1, -1, -1)
+    shifted = sorted(
+        ((lam.size, [lam.part(i) + d for i, d in enumerate(delta)]) for lam in family),
+        key=lambda t: t[0],
     )
-    tail = schur_sum(("max_rows", p), ctx, D)
-    rhs = TruncatedSeries(_paraboson_denominator(n, denominator == "symmetric"), math.inf) * tail
-    return _finish(
-        "paraboson", n, None, p, D, lhs, rhs.poly, t0, denominator=denominator
-    )
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in _paraboson_denominator(n, symmetric).terms.items():
+        alpha = [x // 2 for x in e]
+        room = math.inf if degree is None else degree - sum(alpha)
+        for size, v in shifted:
+            if size > room:
+                break
+            hit = _straighten_type_a([a + x for a, x in zip(alpha, v)])
+            if hit is not None:
+                sign, nu = hit
+                out[nu] = out.get(nu, 0) + sign * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+def _schur_discrepancy(
+    lhs: dict[tuple[int, ...], int], rhs: dict[tuple[int, ...], int], n: int
+) -> dict | None:
+    """First offending monomial of sum lhs[nu] s_nu against sum rhs[nu] s_nu
+    in n variables (every nu with at most n rows), or None if they agree.
+
+    These s_nu are linearly independent and homogeneous of degree |nu|, so
+    the monomials first disagree at the lowest |nu| = d where the maps
+    differ, and only the degree-d s_nu are expanded to name the monomial.
+    """
+    gap = {nu: lhs.get(nu, 0) - rhs.get(nu, 0) for nu in lhs.keys() | rhs.keys()}
+    gap = {nu: c for nu, c in gap.items() if c}
+    if not gap:
+        return None
+    d = min(sum(nu) for nu in gap)
+    ctx = SchurContext(n)
+
+    def expand(coeffs: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+        out: dict[tuple[int, ...], int] = {}
+        for nu, c in coeffs.items():
+            if sum(nu) == d:
+                for e, k in ctx._gt(nu, n).items():
+                    out[e] = out.get(e, 0) + c * k
+        return out
+
+    diff = {e: c for e, c in expand(gap).items() if c}
+    e = min(diff, key=_term_key)
+    left = expand(lhs).get(e, 0)
+    return {"degree": d, "monomial": list(e), "lhs": str(left), "rhs": str(left - diff[e])}
 
 
 def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> VerificationReport:
@@ -450,7 +533,9 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     kept = [
         e for e in table.entries if e.diagram.size <= D and hook_condition(e.diagram, n, m)
     ]
-    total = _euler_characteristic(kept, lambda lam: hook_schur(lam, ctx, "br"), nv)
+    total = MultiPoly.zero(nv)
+    for lam, c in _euler_characteristic(kept).items():
+        total = total + hook_schur(lam, ctx, "br") * c
     lhs = TruncatedSeries(_parastat_mixed_pairs(n, m), math.inf) * TruncatedSeries(total, D)
     tail = schur_sum(("hook", p), ctx, D)
     denominator = math.prod(_denominator_factors(n, m), start=MultiPoly.one(nv))

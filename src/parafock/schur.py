@@ -102,7 +102,8 @@ class SchurContext:
         """Terms of hs_lambda in the first k of the n + m variables, by branching.
 
         The even variables come first, so for k <= n this is s_lambda(x_1..x_k).
-        Returns the cached dict itself: callers copy it before handing it out.
+        May return the cached dict itself: callers copy it before handing it out.
+        Only k < n + m is cached, since the recursion reads nothing larger.
         """
         even = min(k, self.n)
         if len(parts) > even and parts[even] > k - even:
@@ -133,7 +134,8 @@ class SchurContext:
                 for e, c in self._gt(mu, k - 1).items():
                     e = e[: k - 1] + shift
                     terms[e] = terms.get(e, 0) + c
-        self._gt_cache[key] = terms
+        if k < self.nvars:
+            self._gt_cache[key] = terms
         return terms
 
     def __repr__(self) -> str:

@@ -13,6 +13,10 @@ Monomials encode formal exponentials through the fixed convention
 x_i = exp(-e_i): the monomial of a weight v is prod_i x_i^(-v_i).  Under
 it the character of the level-p module is a Laurent polynomial whose
 positive-degree part collects the states above the vacuum.
+
+Alternants are straightened onto strictly dominant weights for B_n
+(``_straighten``) and, for the Schur-basis identity checks, onto
+partitions plus delta for S_n (``_straighten_type_a``).
 """
 
 from __future__ import annotations
@@ -342,6 +346,28 @@ def _straighten(coords) -> tuple[int, tuple[int, ...]] | None:
                 sign = -sign
         mags.append(c)
     return sign, tuple(sorted(mags, reverse=True))
+
+
+def _straighten_type_a(exponents) -> tuple[int, tuple[int, ...]] | None:
+    """Write the S_n alternant a_v = det(x_j^(v_i)) as sign * a_{nu + delta}.
+
+    For v of non-negative integers, returns ``(sign, nu)`` with nu a
+    partition (no trailing zeros) and delta = (n-1, ..., 1, 0), or None when
+    two entries are equal, where a_v = 0.  The sign counts the inversions of
+    the sort of v into decreasing order (Macdonald I.3).
+    """
+    sign = 1
+    seen = []
+    for v in exponents:
+        for s in seen:
+            if s == v:
+                return None
+            if s < v:
+                sign = -sign
+        seen.append(v)
+    top = len(seen) - 1
+    nu = [v - (top - i) for i, v in enumerate(sorted(seen, reverse=True))]
+    return sign, tuple(x for x in nu if x)
 
 
 def _is_weyl_invariant(poly: MultiPoly) -> bool:

@@ -1,5 +1,8 @@
 """Cohomology tables (two routes) and the exact identity verdicts."""
 
+import importlib
+import math
+
 import pytest
 
 from parafock import kostant
@@ -17,7 +20,7 @@ from parafock.kostant import (
     verify_weyl_character,
 )
 from parafock.partitions import Partition, frobenius_decompose
-from parafock.polyring import MultiPoly
+from parafock.polyring import MultiPoly, TruncatedSeries
 from parafock.schur import SchurContext, schur
 from parafock.weyl import (
     ALTERNANT_RANK_LIMIT,
@@ -288,6 +291,128 @@ def test_paraboson_symmetric_denominator_fails_with_located_discrepancy():
     }
     with pytest.raises(ValueError):
         verify_paraboson_identity(1, 1, 10, denominator="other")
+
+
+def _identity_by_product(n, p, degree=None, denominator="printed"):
+    """The monomial verdict: expand every Schur polynomial, multiply the
+    denominator out and compare term by term.  ``degree`` None is the
+    parafermionic identity, an int the paraboson one truncated there.  The
+    branching family comes from ``kostant.enumerate_partitions`` with the
+    verifier's own arguments, so a patched family reaches both."""
+    ctx = SchurContext(n)
+    if degree is None:
+        table = cohomology_via_partitions(n, p)
+        family = kostant.enumerate_partitions(max_part=p, max_length=n)
+    else:
+        table = cohomology_via_partitions(max(n - p, 1), p)
+        family = kostant.enumerate_partitions(max_length=min(p, n), max_size=degree)
+    lhs = MultiPoly.zero(n)
+    for e in table.entries:
+        lam = e.diagram if degree is None else e.diagram.conjugate()
+        lhs = lhs + schur(lam, ctx) * (-1) ** e.k
+    tail = MultiPoly.zero(n)
+    for lam in family:
+        tail = tail + schur(lam, ctx)
+    den = _paraboson_denominator(n, denominator == "symmetric")
+    if degree is None:
+        disc = _first_discrepancy(lhs, den * tail)
+    else:
+        rhs = TruncatedSeries(den, math.inf) * TruncatedSeries(tail, degree)
+        disc = _first_discrepancy(lhs, rhs.poly, 2 * degree)
+    return ("pass" if disc is None else "fail"), disc
+
+
+def test_parafermion_schur_basis_matches_the_monomial_product():
+    for n in range(1, 6):
+        for p in range(4):
+            rep = verify_parafermion_identity(n, p)
+            assert (rep.status, rep.first_discrepancy) == _identity_by_product(n, p), (n, p)
+
+
+def test_paraboson_schur_basis_matches_the_monomial_product():
+    failures = 0
+    for n in range(1, 5):
+        for p in range(4):
+            for D in (0, 1, 2, 5, 8, 10):
+                for den in ("printed", "symmetric"):
+                    rep = verify_paraboson_identity(n, p, D, den)
+                    expected = _identity_by_product(n, p, D, den)
+                    assert (rep.status, rep.first_discrepancy) == expected, (n, p, D, den)
+                    failures += rep.status == "fail"
+    # the symmetric variant's located failures are part of the comparison
+    assert failures > 0
+
+
+def _drop_last(family, kwargs):
+    return family[:-1]
+
+
+def _add_outside(family, kwargs):
+    if "max_part" in kwargs:
+        return family + [Partition([kwargs["max_part"] + 1])]
+    return family + [Partition([1] * (kwargs["max_length"] + 1))]
+
+
+def _double_last(family, kwargs):
+    return family + family[-1:]
+
+
+@pytest.mark.parametrize("perturb", [_drop_last, _add_outside, _double_last],
+                         ids=["drop", "extra", "duplicate"])
+@pytest.mark.parametrize(
+    "case",
+    [(1, 1, None, "printed"), (2, 2, None, "printed"), (3, 1, None, "printed"),
+     (3, 2, None, "printed"), (2, 1, 5, "printed"), (3, 1, 6, "printed"),
+     (4, 2, 8, "printed"), (3, 1, 6, "symmetric")],
+    ids=str,
+)
+def test_perturbed_branching_family_fails_where_the_product_does(monkeypatch, case, perturb):
+    real = kostant.enumerate_partitions
+
+    def broken(**kwargs):
+        return perturb(list(real(**kwargs)), kwargs)
+
+    monkeypatch.setattr(kostant, "enumerate_partitions", broken)
+    n, p, D, den = case
+    if D is None:
+        rep = verify_parafermion_identity(n, p)
+    else:
+        rep = verify_paraboson_identity(n, p, D, den)
+    assert rep.status == "fail"
+    assert (rep.status, rep.first_discrepancy) == _identity_by_product(n, p, D, den)
+
+
+def test_paraboson_denominators_are_symmetric():
+    # the Schur-basis comparison moves each denominator term past an alternant
+    for n in range(1, 6):
+        for symmetric in (False, True):
+            den = _paraboson_denominator(n, symmetric)
+            for i in range(n - 1):
+                swap = list(range(n))
+                swap[i], swap[i + 1] = i + 1, i
+                assert den.permute_variables(swap) == den, (n, symmetric, i)
+
+
+def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
+    schur_module = importlib.import_module("parafock.schur")
+    series_products, schur_calls = [], []
+    real_mul, real_schur = TruncatedSeries.__mul__, schur_module.schur
+
+    def spy_mul(self, other):
+        series_products.append(other)
+        return real_mul(self, other)
+
+    def spy_schur(*args, **kwargs):
+        schur_calls.append(args)
+        return real_schur(*args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", spy_mul)
+    monkeypatch.setattr(schur_module, "schur", spy_schur)
+    monkeypatch.setattr(kostant, "schur", spy_schur)
+    assert verify_parafermion_identity(4, 3).passed
+    assert verify_paraboson_identity(4, 2, 10).passed
+    assert series_products == []
+    assert schur_calls == []
 
 
 def test_parastat_reports():

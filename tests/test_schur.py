@@ -169,6 +169,18 @@ def test_branching_engine_returns_a_fresh_polynomial():
     assert hook_schur(lam, ctx) == expected
 
 
+def test_branching_cache_holds_no_top_level_entry():
+    # the recursion reads only k < n + m, and every caller copies the top dict
+    ctx = SchurContext(2, 2)
+    hook_schur(Partition([3, 2, 1]), ctx)
+    assert ctx._gt_cache
+    assert all(k < ctx.nvars for _, k in ctx._gt_cache)
+    ctx = SchurContext(3)
+    schur(Partition([2, 1]), ctx)
+    assert ctx._gt_cache
+    assert all(k < ctx.nvars for _, k in ctx._gt_cache)
+
+
 def test_skew_engines_agree():
     for n, m in ((3, 0), (0, 2), (1, 1), (2, 1)):
         ctx = SchurContext(n, m)

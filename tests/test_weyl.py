@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from parafock.partitions import Partition
 from parafock.polyring import MultiPoly
-from parafock.schur import SchurContext, schur
+from parafock.schur import SchurContext, _sn_alternant, schur
 from parafock.weyl import (
     ALTERNANT_RANK_LIMIT,
     RootSystemB,
@@ -25,6 +25,7 @@ from parafock.weyl import (
     weight_monomial,
     _is_weyl_invariant,
     _straighten,
+    _straighten_type_a,
 )
 
 
@@ -306,6 +307,34 @@ def test_straighten_frozen_values():
     assert _straighten((-1, 3, 5)) == (1, (5, 3, 1))
     assert _straighten((3, -3)) is None
     assert _straighten((4, 0)) is None
+
+
+exponent_vectors = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(0, 6), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_vectors)
+def test_type_a_straighten_matches_the_alternant(v):
+    ctx = SchurContext(len(v))
+    a = _sn_alternant(v, ctx)
+    hit = _straighten_type_a(v)
+    if hit is None:
+        assert a.is_zero()
+    else:
+        sign, nu = hit
+        assert list(nu) == sorted(nu, reverse=True) and all(x > 0 for x in nu)
+        shifted = [Partition(nu).part(i) + len(v) - 1 - i for i in range(len(v))]
+        assert a == _sn_alternant(shifted, ctx) * sign
+
+
+def test_type_a_straighten_frozen_values():
+    assert _straighten_type_a((4, 2, 0)) == (1, (2, 1))
+    assert _straighten_type_a((2, 4, 0)) == (-1, (2, 1))
+    assert _straighten_type_a((0, 2, 4)) == (-1, (2, 1))
+    assert _straighten_type_a((2, 1, 0)) == (1, ())
+    assert _straighten_type_a((3, 1, 3)) is None
 
 
 def test_weyl_invariance_check():
