@@ -205,6 +205,10 @@ def _cmd_verify(args) -> int:
         raise ValueError("parastat needs --m")
     if identity != "parastat" and args.m is not None:
         raise ValueError(f"--m applies only to parastat, not {identity}")
+    if identity != "paraboson" and args.alt_denominator:
+        raise ValueError(f"--alt-denominator applies only to paraboson, not {identity}")
+    if identity not in DEFAULT_DEGREES and args.degree is not None:
+        raise ValueError(f"--degree applies only to paraboson and parastat, not {identity}")
     ms = _parse_range(args.m) if args.m is not None else [None]
     _check_rank_limit(args, max(ns), max(ms) if ms != [None] else None)
     for v, name in ((min(ns), "--n"), (min(ps), "--p")):
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--degree",
         type=int,
-        help=f"truncation bound for series checks (default from ${DEGREE_ENV})",
+        help=f"truncation bound, paraboson and parastat only (default from ${DEGREE_ENV})",
     )
     sp.add_argument(
         "--sweep",
@@ -370,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--alt-denominator",
         action="store_true",
-        help="paraboson: also run and report the symmetric-square denominator variant",
+        help="paraboson only: also run and report the symmetric-square denominator variant",
     )
     sp.add_argument("--force", action="store_true", help="override the rank limit")
     sp.add_argument(

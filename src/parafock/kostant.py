@@ -18,11 +18,14 @@ Weyl-character/branching consistency check.  The left side of each of the
 three identities is the Euler-Poincare characteristic of the free
 resolution: the alternating sum over a ``cohomology_via_partitions`` table,
 each entry signed by its degree k.  The parafermionic and parabosonic
-identities are compared in the Schur basis: their denominator is
-symmetric, so its product with each s_lambda = a_{lambda+delta} / a_delta
-straightens term by term onto +-s_nu (type A), and neither side is
-expanded into monomials.  The parastatistics identity is compared by truncated integer
-polynomial arithmetic.  The Weyl-character check straightens D_rho times
+identities are compared in the Schur basis.  Their denominator is a
+product of S_n orbits of factors, prod(1-x_i), prod_{i<j}(1-x_i x_j) and
+optionally prod(1-x_i^2); each orbit is symmetric, so its product with
+s_lambda = a_{lambda+delta} / a_delta straightens term by term onto +-s_nu
+(type A).  The orbits are applied one at a time, so a pass expands
+neither side, nor even the whole denominator, into monomials.  The
+parastatistics identity is compared by truncated integer polynomial
+arithmetic.  The Weyl-character check straightens D_rho times
 the character onto strictly dominant weights (Brauer's formula, type B),
 and expands the 2^n n!-term alternants only to locate a failure.  Nothing
 is ever divided or rounded, and a failure reports the first offending
@@ -184,14 +187,23 @@ def _denominator_factors(n: int, m: int = 0) -> list[MultiPoly]:
     return fs
 
 
-def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
+def _denominator_groups(n: int, symmetric: bool) -> list[MultiPoly]:
+    """The paraboson denominator as products of its S_n orbits of factors, in
+    the order ``_denominator_times`` applies them: prod(1-x_i), then
+    prod_{i<j}(1-x_i x_j), then, for the symmetric variant, prod(1-x_i^2).
+    Each group is symmetric because S_n permutes its factors."""
     fs = _denominator_factors(n)
+    one = MultiPoly.one(n)
+    groups = [fs[:n], fs[n:]]
     if symmetric:
-        one = MultiPoly.one(n)
-        for i in range(n):
-            xi = MultiPoly.variable(n, i)
-            fs.append(one - xi * xi)
-    return math.prod(fs, start=MultiPoly.one(n))
+        xs = [MultiPoly.variable(n, i) for i in range(n)]
+        groups.append([one - x * x for x in xs])
+    return [math.prod(g, start=one) for g in groups]
+
+
+def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
+    """The whole denominator, expanded: the product of its groups."""
+    return math.prod(_denominator_groups(n, symmetric), start=MultiPoly.one(n))
 
 
 def _parastat_mixed_pairs(n: int, m: int) -> MultiPoly:
@@ -391,12 +403,14 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     Both sides are compared as {nu: coefficient of s_nu}, which decides the
     identity because the s_nu with at most n rows are linearly independent.
     The left side is read off the cohomology table.  The denominator D is
-    symmetric, so D s_lambda = sum c_alpha a_{alpha+lambda+delta} / a_delta
-    over its terms c_alpha x^alpha, and each alternant straightens to
-    +-a_{nu+delta} or 0 (``_denominator_times``).  For a D that is not
-    symmetric, D a_{lambda+delta} is not this sum.  Neither side is expanded
-    into monomials and D never multiplies the branching sum; a failure
-    expands only its lowest differing degree, to name the monomial.
+    a product of symmetric groups of factors, and each group G gives
+    G s_lambda = sum c_alpha a_{alpha+lambda+delta} / a_delta over its terms
+    c_alpha x^alpha, where each alternant straightens to +-a_{nu+delta} or 0
+    (``_denominator_times``).  For a G that is not symmetric,
+    G a_{lambda+delta} is not this sum.  Neither side is expanded into
+    monomials, D itself is never expanded, and no polynomial multiplies the
+    branching sum; a failure expands only its lowest differing degree, to
+    name the monomial.
     """
     _validate_np(n, p)
     t0 = time.perf_counter()
@@ -418,10 +432,11 @@ def verify_paraboson_identity(
     denominator is prod(1-x_i) prod_{i<j}(1-x_i x_j); the "symmetric"
     variant also includes the diagonal factors 1-x_i^2.
 
-    Both variants are symmetric, which the Schur-basis comparison of
-    ``verify_parafermion_identity`` needs, so it applies here too with the
-    conjugate diagrams on the left.  Truncation at degree D keeps exactly
-    the s_nu with |nu| <= D, because s_nu is homogeneous of degree |nu|.
+    Both variants are products of symmetric groups of factors, which the
+    Schur-basis comparison of ``verify_parafermion_identity`` needs, so it
+    applies here too with the conjugate diagrams on the left.  Truncation at
+    degree D keeps exactly the s_nu with |nu| <= D, because s_nu is
+    homogeneous of degree |nu|.
     """
     _validate_np(n, p)
     if denominator not in ("printed", "symmetric"):
@@ -450,29 +465,62 @@ def _denominator_times(
     """The paraboson denominator times sum_{lambda in family} s_lambda in n
     variables, as {nu: coefficient of s_nu}, through total degree ``degree``.
 
-    s_lambda = a_{lambda+delta} / a_delta with a_v the S_n alternant.  Both
-    denominator variants D = sum c_alpha x^alpha are S_n-invariant, so
-    D a_{lambda+delta} = sum_w sign(w) w(D x^{lambda+delta})
-    = sum c_alpha a_{alpha+lambda+delta}; for a D that is not symmetric this
-    step fails.  Each a_{alpha+lambda+delta} is +-a_{nu+delta} with
-    |nu| = |alpha| + |lambda|, or 0, and dividing by a_delta gives +-s_nu.
+    The denominator is applied one group of ``_denominator_groups`` at a
+    time, and the sum stays in the Schur basis between groups.  Each group
+    G is a full S_n orbit of factors, so it is symmetric on its own, and
+    ``_symmetric_times`` multiplies it in exactly.  G_1 = prod(1-x_i) goes
+    first because it telescopes the branching sum: its alternating Pieri
+    terms largely cancel, which shrinks the sum before the much larger
+    G_2 = prod_{i<j}(1-x_i x_j) meets it (56 diagrams become 30 at n=5,
+    p=3).  Every group has only non-negative exponents, so no step lowers
+    a degree: a term with |nu| > degree can only contribute above the
+    bound, and every step drops it at once instead of carrying it to the
+    end.  The whole denominator is never expanded.
+    """
+    cap = math.inf if degree is None else degree
+    coeffs: dict[tuple[int, ...], int] = {}
+    for lam in family:
+        # s_lambda vanishes in n variables when lambda has more than n rows
+        if len(lam) <= n and lam.size <= cap:
+            coeffs[lam.parts] = coeffs.get(lam.parts, 0) + 1
+    for group in _denominator_groups(n, symmetric):
+        coeffs = _symmetric_times(group, coeffs, n, cap)
+    return coeffs
+
+
+def _symmetric_times(
+    group: MultiPoly, coeffs: dict[tuple[int, ...], int], n: int, cap: float
+) -> dict[tuple[int, ...], int]:
+    """group times sum coeffs[nu] s_nu in n variables, as {nu: coefficient
+    of s_nu}, keeping |nu| <= cap.
+
+    s_lambda = a_{lambda+delta} / a_delta with a_v the S_n alternant.  When
+    group = sum c_alpha x^alpha is S_n-invariant,
+    group a_{lambda+delta} = sum_w sign(w) w(group x^{lambda+delta})
+    = sum c_alpha a_{alpha+lambda+delta}; for a group that is not
+    symmetric this step fails.  Each a_{alpha+lambda+delta} is
+    +-a_{nu+delta} with |nu| = |alpha| + |lambda|, or 0 (Macdonald I.3),
+    and dividing by a_delta gives +-s_nu.
     """
     delta = range(n - 1, -1, -1)
     shifted = sorted(
-        ((lam.size, [lam.part(i) + d for i, d in enumerate(delta)]) for lam in family),
+        (
+            (sum(lam), [x + d for x, d in zip(lam + (0,) * (n - len(lam)), delta)], c)
+            for lam, c in coeffs.items()
+        ),
         key=lambda t: t[0],
     )
     out: dict[tuple[int, ...], int] = {}
-    for e, c in _paraboson_denominator(n, symmetric).terms.items():
+    for e, ca in group.terms.items():
         alpha = [x // 2 for x in e]
-        room = math.inf if degree is None else degree - sum(alpha)
-        for size, v in shifted:
+        room = cap - sum(alpha)
+        for size, v, c in shifted:
             if size > room:
                 break
             hit = _straighten_type_a([a + x for a, x in zip(alpha, v)])
             if hit is not None:
                 sign, nu = hit
-                out[nu] = out.get(nu, 0) + sign * c
+                out[nu] = out.get(nu, 0) + sign * ca * c
     return {nu: c for nu, c in out.items() if c}
 
 

@@ -306,6 +306,13 @@ def test_verify_default_degrees(capsys, monkeypatch):
     assert json.loads(out)["degree"] == 8
 
 
+def test_verify_parafermion_rank_six_runs_within_the_guard(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "parafermion", "--n", "6", "--p", "2")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["n"], obj["p"], obj["status"]) == (6, 2, "pass")
+
+
 # -- guards and exit codes ------------------------------------------------------------------
 
 def test_rank_limit_guard(capsys):
@@ -351,6 +358,22 @@ def test_computation_errors_exit_two(capsys):
             capsys, "verify", "--identity", identity, "--n", "1", "--m", m, "--p", "1"
         )
         assert code == 2 and out == "" and "--m applies only to parastat" in err
+    for identity, m in (("parafermion", None), ("parastat", "1"), ("weyl-character", None)):
+        argv = ["verify", "--identity", identity, "--n", "2", "--p", "1", "--alt-denominator"]
+        code, out, err = run(capsys, *argv, *(("--m", m) if m else ()))
+        assert code == 2 and out == "" and "--alt-denominator applies only to paraboson" in err
+    for identity in ("parafermion", "weyl-character"):
+        code, out, err = run(
+            capsys, "verify", "--identity", identity, "--n", "2", "--p", "1", "--degree", "5"
+        )
+        assert code == 2 and out == "" and "--degree applies only to" in err
+
+
+def test_degree_environment_stays_a_default_for_exact_checks(capsys, monkeypatch):
+    monkeypatch.setenv(DEGREE_ENV, "4")
+    for identity in ("parafermion", "weyl-character"):
+        code, out, _ = run(capsys, "verify", "--identity", identity, "--n", "2", "--p", "1")
+        assert code == 0 and json.loads(out)["status"] == "pass"
 
 
 def test_module_entry_point_runs_in_subprocess():

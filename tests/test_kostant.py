@@ -1,9 +1,12 @@
 """Cohomology tables (two routes) and the exact identity verdicts."""
 
+import functools
 import importlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafock import kostant
 from parafock.kostant import (
@@ -19,7 +22,7 @@ from parafock.kostant import (
     verify_parastat_identity,
     verify_weyl_character,
 )
-from parafock.partitions import Partition, frobenius_decompose
+from parafock.partitions import Partition, enumerate_partitions, frobenius_decompose
 from parafock.polyring import MultiPoly, TruncatedSeries
 from parafock.schur import SchurContext, schur
 from parafock.weyl import (
@@ -29,6 +32,7 @@ from parafock.weyl import (
     dim_gl,
     dim_so,
     weight_monomial,
+    _straighten_type_a,
 )
 
 
@@ -382,15 +386,131 @@ def test_perturbed_branching_family_fails_where_the_product_does(monkeypatch, ca
     assert (rep.status, rep.first_discrepancy) == _identity_by_product(n, p, D, den)
 
 
-def test_paraboson_denominators_are_symmetric():
-    # the Schur-basis comparison moves each denominator term past an alternant
+@functools.cache
+def _whole_denominator_terms(n, symmetric):
+    """Terms (|alpha|, alpha, c) of the expanded denominator, by degree."""
+    terms = _paraboson_denominator(n, symmetric).terms.items()
+    return sorted((sum(e) // 2, [x // 2 for x in e], c) for e, c in terms)
+
+
+def _denominator_times_single_pass(n, symmetric, family, degree=None):
+    """The denominator times sum s_lambda in one pass: expand the whole
+    denominator and straighten each of its terms against each lambda."""
+    delta = range(n - 1, -1, -1)
+    shifted = sorted(
+        (lam.size, [lam.part(i) + d for i, d in enumerate(delta)])
+        for lam in family
+        if len(lam) <= n
+    )
+    out = {}
+    for size_a, alpha, c in _whole_denominator_terms(n, symmetric):
+        room = math.inf if degree is None else degree - size_a
+        for size, v in shifted:
+            if size > room:
+                break
+            hit = _straighten_type_a([a + x for a, x in zip(alpha, v)])
+            if hit is not None:
+                sign, nu = hit
+                out[nu] = out.get(nu, 0) + sign * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+def test_denominator_times_matches_the_single_pass():
     for n in range(1, 6):
+        for p in range(4):
+            for D in (None, 0, 1, 2, 5, 8, 10):
+                if D is None:
+                    family = list(enumerate_partitions(max_part=p, max_length=n))
+                else:
+                    family = list(enumerate_partitions(max_length=min(p, n), max_size=D))
+                for symmetric in (False, True):
+                    got = kostant._denominator_times(n, symmetric, family, D)
+                    expected = _denominator_times_single_pass(n, symmetric, family, D)
+                    assert got == expected, (n, p, D, symmetric)
+
+
+small_families = st.lists(
+    st.lists(st.integers(1, 4), max_size=5).map(
+        lambda parts: Partition(sorted(parts, reverse=True))
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 9)),
+    small_families,
+    st.data(),
+)
+def test_denominator_times_on_families_with_repeats(n, symmetric, degree, family, data):
+    # repeated diagrams add up; diagrams with more than n rows vanish
+    family = family + [data.draw(st.sampled_from(family))]
+    assert kostant._denominator_times(
+        n, symmetric, family, degree
+    ) == _denominator_times_single_pass(n, symmetric, family, degree)
+
+
+def test_denominator_groups_are_symmetric_and_multiply_to_the_denominator():
+    # straightening moves each group past an alternant, one group at a time
+    for n in range(1, 6):
+        one = MultiPoly.one(n)
+        xs = [MultiPoly.variable(n, i) for i in range(n)]
         for symmetric in (False, True):
-            den = _paraboson_denominator(n, symmetric)
-            for i in range(n - 1):
-                swap = list(range(n))
-                swap[i], swap[i + 1] = i + 1, i
-                assert den.permute_variables(swap) == den, (n, symmetric, i)
+            groups = kostant._denominator_groups(n, symmetric)
+            assert len(groups) == 2 + symmetric
+            for g in groups:
+                for i in range(n - 1):
+                    swap = list(range(n))
+                    swap[i], swap[i + 1] = i + 1, i
+                    assert g.permute_variables(swap) == g, (n, symmetric, i)
+            factors = [one - x for x in xs]
+            factors += [one - xs[i] * xs[j] for i in range(n) for j in range(i + 1, n)]
+            if symmetric:
+                factors += [one - x * x for x in xs]
+            whole = math.prod(factors, start=one)
+            assert math.prod(groups, start=one) == whole
+            assert _paraboson_denominator(n, symmetric) == whole
+
+
+def test_verifiers_never_expand_the_whole_denominator(monkeypatch):
+    sizes = []
+    real_mul = MultiPoly.__mul__
+
+    def spy_mul(self, other):
+        out = real_mul(self, other)
+        sizes.append(len(out))
+        return out
+
+    def unreachable(n, symmetric):
+        raise AssertionError("the verifier expanded the whole denominator")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", spy_mul)
+    monkeypatch.setattr(kostant, "_paraboson_denominator", unreachable)
+    assert verify_parafermion_identity(5, 3).passed
+    assert verify_paraboson_identity(4, 3, 10, "symmetric").status == "fail"
+    monkeypatch.undo()
+    largest = max(
+        len(g)
+        for n, symmetric in ((5, False), (4, True))
+        for g in kostant._denominator_groups(n, symmetric)
+    )
+    # the groups themselves are the largest products built
+    assert max(sizes) == largest
+
+
+def test_rank_six_paraboson_verdicts():
+    assert verify_paraboson_identity(6, 2, 10).passed
+    rep = verify_paraboson_identity(6, 2, 10, "symmetric")
+    assert rep.first_discrepancy == {
+        "degree": 2,
+        "monomial": [0, 0, 0, 0, 0, 4],
+        "lhs": "0",
+        "rhs": "-1",
+    }
 
 
 def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
