@@ -28,6 +28,7 @@ from .kostant import (
     verify_paraboson_identity,
     verify_parastat_identity,
     verify_weyl_character,
+    _validate_np,
 )
 from .partitions import Partition, enumerate_partitions
 from .schur import SchurContext, hook_schur, schur
@@ -156,6 +157,7 @@ def _cmd_branch(args) -> int:
 
 def _cmd_dims(args) -> int:
     n, p = args.n, args.p
+    _validate_np(n, p)
     rows = []
     total = 0
     for lam in enumerate_partitions(max_part=p, max_length=n):

@@ -3,14 +3,19 @@
 The degree-k cohomology of the nilradical acting on the level-p module
 decomposes into gl(n) modules indexed by self-conjugate diagrams mu inside
 the n x n square, with k = (|mu| + r(mu)) / 2 and highest weight read from
-the arm-augmented diagram mu^(p).  Two independent routes produce the
-table:
+the arm-augmented diagram mu^(p) = (alpha + p | alpha), where mu =
+(alpha | alpha) has r diagonal boxes (Kostant's theorem).  Two independent
+routes produce the table, each reading every entry off its own index:
 
 * ``cohomology_via_w1``: walk the 2^n minimal-length coset representatives
-  of the hyperoctahedral group, compute sigma(rho + p theta) - rho and
-  reflect it to a dominant diagram;
+  of the hyperoctahedral group, count the positive roots each one inverts
+  (``phi_sigma``), compute sigma(rho + p theta) - rho and reflect it to a
+  dominant diagram;
 * ``cohomology_via_partitions``: enumerate self-conjugate diagrams in the
-  square and augment their arms by p.
+  square.  Arm i runs along row i, so mu^(p) is mu with each of its first
+  r rows lengthened by p.  Since |mu| = sum(2 alpha_i + 1) = 2 sum(alpha_i)
+  + r, |mu| + r is even and k = sum(alpha_i + 1), the number of boxes on
+  and right of the diagonal.
 
 On top of the tables sit exact verdicts for three Schur-polynomial
 identities (parafermionic, parabosonic, parastatistics) and for the
@@ -45,7 +50,6 @@ from .partitions import (
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
     enumeration_key,
-    frobenius_decompose,
     hook_condition,
 )
 from .polyring import MultiPoly, TruncatedSeries, expand_inverse_product, _term_key
@@ -56,7 +60,6 @@ from .weyl import (
     alternant,
     phi_sigma,
     RootSystemB,
-    kostant_weight,
     w1_element,
     weight_monomial,
     _check_alternant_rank,
@@ -120,10 +123,17 @@ class CohomologyTable:
 
 
 def cohomology_via_w1(n: int, p: int) -> CohomologyTable:
-    """Cohomology table from the 2^n coset representatives."""
+    """Cohomology table from the 2^n coset representatives.
+
+    The entry of sigma has degree |Phi_sigma| and weight
+    w = sigma(rho + p theta) - rho, which is reflected to a dominant diagram
+    and shifted by the p/2 vacuum offset.
+    """
     _validate_np(n, p)
     rs = RootSystemB(n)
-    highest = Weight.p_theta(n, p)
+    vacuum = Weight.p_theta(n, p)
+    rho = Weight.rho(n)
+    top = rho + vacuum
     table = CohomologyTable(n, p)
     for r in range(n + 1):
         for I in combinations(range(1, n + 1), r):
@@ -133,10 +143,8 @@ def cohomology_via_w1(n: int, p: int) -> CohomologyTable:
                 raise ArithmeticError(
                     f"representative for I={I} left the nilradical; convention bug"
                 )
-            w = kostant_weight(sigma, highest, n)
-            # Reflect the lowest-weight-style vector to a dominant diagram and
-            # shift by the p/2 vacuum offset.
-            shifted = w.reversed_negated() + Weight.p_theta(n, p)
+            w = sigma.apply(top) - rho
+            shifted = w.reversed_negated() + vacuum
             table.entries.append(
                 CohomologyEntry(k=len(phis), diagram=shifted.to_partition(), source=I)
             )
@@ -145,12 +153,18 @@ def cohomology_via_w1(n: int, p: int) -> CohomologyTable:
 
 
 def cohomology_via_partitions(n: int, p: int) -> CohomologyTable:
-    """Cohomology table from self-conjugate diagrams in the n x n square."""
+    """Cohomology table from self-conjugate diagrams in the n x n square.
+
+    The entry of mu (Frobenius rank r) has degree k = (|mu| + r) / 2 and
+    diagram mu^(p), which is mu with each of its first r rows lengthened by
+    p (``augment_arms``).  With arms a_i, |mu| = sum(2 a_i + 1), so |mu| + r
+    is even and k = sum(a_i + 1): the boxes on and right of the diagonal,
+    which is the number of roots the matching coset representative inverts.
+    """
     _validate_np(n, p)
     table = CohomologyTable(n, p)
     for mu in enumerate_self_conjugate_in_square(n):
-        r = frobenius_decompose(mu).rank
-        k, rem = divmod(mu.size + r, 2)
+        k, rem = divmod(mu.size + mu.frobenius_rank(), 2)
         if rem:
             raise ArithmeticError(f"|mu|+r odd for self-conjugate {mu!r}; bug")
         table.entries.append(

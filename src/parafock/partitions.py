@@ -70,14 +70,10 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram: column lengths become row lengths."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p > j) for j in range(self.parts[0])
-        )
+        return Partition(_column_lengths(self.parts))
 
     def is_self_conjugate(self) -> bool:
-        return self.parts == self.conjugate().parts
+        return self.parts == _column_lengths(self.parts)
 
     def contains(self, other: "Partition") -> bool:
         """Diagram inclusion: every row of ``other`` fits inside this one."""
@@ -176,16 +172,17 @@ def augment_arms(mu: Partition, p: int) -> Partition:
     """Lengthen every diagonal arm of a self-conjugate diagram by p.
 
     In Frobenius coordinates, (alpha | alpha) becomes (alpha + p | alpha).
+    Arm i runs along row i, so this adds p boxes to each of the first r
+    rows, r being the number of diagonal boxes; the rows below the diagonal
+    block hold leg boxes only and stay as they are.
     """
     mu = as_partition(mu)
     if p < 0:
         raise ValueError(f"p must be non-negative, got {p}")
-    form = frobenius_decompose(mu)
-    if form.arms != form.legs:
+    if not mu.is_self_conjugate():
         raise ValueError(f"{mu!r} is not self-conjugate")
-    return frobenius_compose(
-        FrobeniusForm(tuple(a + p for a in form.arms), form.legs)
-    )
+    r = mu.frobenius_rank()
+    return Partition((*(row + p for row in mu.parts[:r]), *mu.parts[r:]))
 
 
 def enumeration_key(lam: Partition):
@@ -197,18 +194,34 @@ def enumeration_key(lam: Partition):
 def enumerate_self_conjugate_in_square(n: int) -> list[Partition]:
     """All 2^n self-conjugate diagrams inside the n x n square.
 
-    Produced through Frobenius coordinates: each strictly decreasing arm
-    set inside {0, ..., n-1} gives one diagram (arms == legs).
+    Each strictly decreasing arm set (a_0 > ... > a_{r-1}) inside
+    {0, ..., n-1} gives one diagram (arms == legs).  Its first r rows are
+    a_i + i + 1; below them, row i equals column i, which meets only those
+    first r rows, since every lower row is at most r long.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     out = []
     for r in range(n + 1):
-        for arm_set in combinations(range(n), r):
-            arms = tuple(sorted(arm_set, reverse=True))
-            out.append(frobenius_compose(FrobeniusForm(arms, arms)))
+        for arms in combinations(range(n - 1, -1, -1), r):
+            top = tuple(a + i + 1 for i, a in enumerate(arms))
+            out.append(Partition(top + _column_lengths(top)[r:]))
     out.sort(key=enumeration_key)
     return out
+
+
+def _column_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of the diagram with the given rows, longest first.
+
+    The columns between row i+1's end and row i's end are i+1 long, so one
+    pass from the bottom row up lists them all.
+    """
+    cols: list[int] = []
+    below = 0
+    for i in range(len(parts), 0, -1):
+        cols += [i] * (parts[i - 1] - below)
+        below = parts[i - 1]
+    return tuple(cols)
 
 
 def _partitions_of(d: int, max_part: int, max_length: int) -> Iterator[tuple[int, ...]]:

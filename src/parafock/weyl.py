@@ -222,6 +222,10 @@ class RootSystemB:
         )
         self._pos_set = frozenset(w.coords for w in self.positive_roots)
         self._nil_set = frozenset(w.coords for w in self.nilradical_roots)
+        # Per positive root, its first and last nonzero coordinates with their
+        # values, (i, c, j, d); e_i has just one, read twice.
+        nonzero = ([(k, c) for k, c in enumerate(w.coords) if c] for w in pos)
+        self._supports = tuple(nz[0] + nz[-1] for nz in nonzero)
 
     def is_positive_root(self, w: Weight) -> bool:
         return w.coords in self._pos_set
@@ -265,17 +269,27 @@ def w1_element(I, n: int) -> SignedPermutation:
 def phi_sigma(sigma: SignedPermutation, rs: RootSystemB) -> list[Weight]:
     """Positive roots sent to negative roots by sigma^{-1}.
 
-    sigma^{-1} maps e_{word[j]} to signs[j] e_j, so coordinate j of
-    sigma^{-1}(alpha) is signs[j] * alpha_{word[j]}; no Weight is built.
+    A root of B_n is positive exactly when its first nonzero coordinate is
+    positive: the positive roots e_i and e_i +- e_j (i < j) all start with
+    +1 at i, and every other root is the negative of one of them.
+    sigma^{-1} maps e_{word[j]} to signs[j] e_j, so it moves each nonzero
+    coordinate of alpha to a new place, times a sign, and its image is again
+    a root.  The image's first nonzero coordinate is therefore whichever of
+    alpha's one or two support coordinates lands first, and its sign decides
+    the root; no image vector is built.
     """
     if sigma.n != rs.n:
         raise ValueError(f"rank mismatch: {sigma.n} vs {rs.n}")
-    moves = tuple((w - 1, s) for w, s in zip(sigma.word, sigma.signs))
-    positive = rs._pos_set
+    # sigma^{-1}(e_{k+1}) = sign[k] * e_{place[k]+1}
+    place = [0] * rs.n
+    sign = [0] * rs.n
+    for j, (w, s) in enumerate(zip(sigma.word, sigma.signs)):
+        place[w - 1] = j
+        sign[w - 1] = s
     return [
         alpha
-        for alpha in rs.positive_roots
-        if tuple(s * alpha.coords[k] for k, s in moves) not in positive
+        for alpha, (i, c, j, d) in zip(rs.positive_roots, rs._supports)
+        if (sign[i] * c if place[i] <= place[j] else sign[j] * d) < 0
     ]
 
 

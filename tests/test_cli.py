@@ -353,6 +353,10 @@ def test_computation_errors_exit_two(capsys):
     assert code == 2 and "empty range" in err
     code, out, err = run(capsys, "w1", "--n", "0")
     assert code == 2 and out == "" and "n must be >= 1" in err
+    code, out, err = run(capsys, "dims", "--n", "-1", "--p", "1")
+    assert code == 2 and out == "" and "n must be >= 1, got -1" in err
+    code, out, err = run(capsys, "dims", "--n", "2", "--p", "-1")
+    assert code == 2 and out == "" and "p must be >= 0, got -1" in err
     for identity, m in (("parafermion", "1..3"), ("paraboson", "1"), ("weyl-character", "9")):
         code, out, err = run(
             capsys, "verify", "--identity", identity, "--n", "1", "--m", m, "--p", "1"

@@ -2,15 +2,18 @@
 
 import functools
 import importlib
+import json
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parafock import kostant
+from parafock import kostant, partitions
 from parafock.kostant import (
     CohomologyEntry,
+    CohomologyTable,
     _first_discrepancy,
     _paraboson_denominator,
     branching_character,
@@ -22,15 +25,25 @@ from parafock.kostant import (
     verify_parastat_identity,
     verify_weyl_character,
 )
-from parafock.partitions import Partition, enumerate_partitions, frobenius_decompose
+from parafock.partitions import (
+    FrobeniusForm,
+    Partition,
+    enumerate_partitions,
+    enumeration_key,
+    frobenius_compose,
+    frobenius_decompose,
+)
 from parafock.polyring import MultiPoly, TruncatedSeries
 from parafock.schur import SchurContext, schur
 from parafock.weyl import (
     ALTERNANT_RANK_LIMIT,
+    RootSystemB,
     Weight,
     alternant,
     dim_gl,
     dim_so,
+    kostant_weight,
+    w1_element,
     weight_monomial,
     _straighten_type_a,
 )
@@ -77,7 +90,7 @@ def test_validation():
 # -- structural invariants ----------------------------------------------------------
 
 def test_routes_agree_and_tables_are_well_formed():
-    for n in range(1, 5):
+    for n in range(1, 8):
         for p in range(4):
             via_w = cohomology_via_w1(n, p)
             via_mu = cohomology_via_partitions(n, p)
@@ -117,6 +130,82 @@ def test_entry_json_shapes():
     mu_entry = cohomology_via_partitions(2, 1).entries_at(2)[0]
     assert mu_entry.to_json_obj() == {"k": 2, "mu": [3, 1], "source": {"mu": [2, 1]}}
     assert CohomologyEntry(0, Partition(), ()).to_json_obj()["source"] == {"I": []}
+
+
+def _w1_table_by_images(n, p):
+    """Oracle: the coset route built from full root images and Kostant weights."""
+    rs = RootSystemB(n)
+    table = CohomologyTable(n, p)
+    for r in range(n + 1):
+        for I in combinations(range(1, n + 1), r):
+            sigma = w1_element(I, n)
+            moves = tuple((w - 1, s) for w, s in zip(sigma.word, sigma.signs))
+            phis = [
+                alpha
+                for alpha in rs.positive_roots
+                if tuple(s * alpha.coords[k] for k, s in moves) not in rs._pos_set
+            ]
+            assert all(rs.is_nilradical_root(x) for x in phis)
+            w = kostant_weight(sigma, Weight.p_theta(n, p), n)
+            shifted = w.reversed_negated() + Weight.p_theta(n, p)
+            table.entries.append(
+                CohomologyEntry(k=len(phis), diagram=shifted.to_partition(), source=I)
+            )
+    table.sort()
+    return table
+
+
+def _partition_table_by_frobenius(n, p):
+    """Oracle: the partition route built by Frobenius round trips."""
+    squares = []
+    for r in range(n + 1):
+        for arms in combinations(range(n - 1, -1, -1), r):
+            squares.append(frobenius_compose(FrobeniusForm(arms, arms)))
+    squares.sort(key=enumeration_key)
+    table = CohomologyTable(n, p)
+    for mu in squares:
+        form = frobenius_decompose(mu)
+        assert (mu.size + form.rank) % 2 == 0
+        augmented = frobenius_compose(
+            FrobeniusForm(tuple(a + p for a in form.arms), form.legs)
+        )
+        table.entries.append(
+            CohomologyEntry(k=(mu.size + form.rank) // 2, diagram=augmented, source=mu)
+        )
+    table.sort()
+    return table
+
+
+def test_both_routes_match_their_round_trip_constructions():
+    for n in range(1, 9):
+        for p in range(4):
+            for route, oracle in (
+                (cohomology_via_w1, _w1_table_by_images),
+                (cohomology_via_partitions, _partition_table_by_frobenius),
+            ):
+                got, want = route(n, p), oracle(n, p)
+                assert (got.n, got.p) == (want.n, want.p)
+                assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+
+
+def test_partition_route_makes_no_frobenius_round_trip(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("frobenius_decompose", "frobenius_compose"):
+        for mod in (partitions, kostant):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    monkeypatch.setattr(Partition, "conjugate", spy("conjugate", Partition.conjugate))
+    table = cohomology_via_partitions(6, 2)
+    assert len(table.entries) == 2 ** 6
+    assert calls == []
 
 
 # -- characters -----------------------------------------------------------------------

@@ -231,6 +231,33 @@ def test_representatives_are_exactly_the_nilradical_filtered_elements():
         assert len(brute) == 2 ** n
 
 
+def _phi_sigma_by_image(sigma, rs):
+    """Oracle: build sigma^{-1}(alpha) and look it up among the positive roots."""
+    if sigma.n != rs.n:
+        raise ValueError(f"rank mismatch: {sigma.n} vs {rs.n}")
+    moves = tuple((w - 1, s) for w, s in zip(sigma.word, sigma.signs))
+    return [
+        alpha
+        for alpha in rs.positive_roots
+        if tuple(s * alpha.coords[k] for k, s in moves) not in rs._pos_set
+    ]
+
+
+def test_phi_sigma_matches_the_image_oracle_on_every_group_element():
+    checked = 0
+    for n in range(1, 6):
+        rs = RootSystemB(n)
+        for sigma in all_group_elements(n):
+            got = phi_sigma(sigma, rs)
+            want = _phi_sigma_by_image(sigma, rs)
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want)), sigma
+            checked += 1
+    assert checked == 4282
+    with pytest.raises(ValueError, match="rank mismatch"):
+        phi_sigma(SignedPermutation.identity(3), RootSystemB(4))
+
+
 def test_shifted_action_frozen():
     # n = 2, p = 1, I = {1}
     w = w1_element({1}, 2)
