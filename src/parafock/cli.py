@@ -64,13 +64,28 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _print_tsv(header, rows) -> None:
+    """A header line, then one tab-separated line per row.  A list or tuple
+    cell joins with commas, None is empty and a dict is compact JSON."""
+    print("\t".join(header))
+    for row in rows:
+        cells = []
+        for v in row:
+            if v is None:
+                v = ""
+            elif isinstance(v, dict):
+                v = _dump(v)
+            elif isinstance(v, (list, tuple)):
+                v = ",".join(map(str, v))
+            cells.append(str(v))
+        print("\t".join(cells))
+
+
 def _print_poly(poly, fmt: str) -> None:
     if fmt == "json":
         print(_dump(poly.to_json_obj()))
     else:
-        print("exp\tcoef")
-        for e, c in poly.sorted_terms():
-            print(f"{','.join(map(str, e))}\t{c}")
+        _print_tsv(("exp", "coef"), poly.sorted_terms())
 
 
 def _check_rank_limit(args, *values) -> None:
@@ -101,51 +116,30 @@ def _cmd_hook_schur(args) -> int:
 def _cmd_w1(args) -> int:
     _check_rank_limit(args, args.n)
     n = args.n
+    columns = ("I", "word", "signs", "num_phi", "mu")
     rows = []
     for e in sorted(cohomology_via_w1(n, 0).entries, key=lambda e: (len(e.source), e.source)):
         sigma = w1_element(e.source, n)
-        rows.append(
-            {
-                "I": list(e.source),
-                "word": list(sigma.word),
-                "signs": list(sigma.signs),
-                "num_phi": e.k,
-                "mu": e.diagram.to_json(),
-            }
-        )
+        rows.append((list(e.source), list(sigma.word), list(sigma.signs), e.k, e.diagram.to_json()))
     if args.format == "json":
-        print(_dump(rows))
+        print(_dump([dict(zip(columns, row)) for row in rows]))
     else:
-        print("I\tword\tsigns\tnum_phi\tmu")
-        for row in rows:
-            print(
-                "\t".join(
-                    [
-                        ",".join(map(str, row["I"])),
-                        ",".join(map(str, row["word"])),
-                        ",".join(map(str, row["signs"])),
-                        str(row["num_phi"]),
-                        ",".join(map(str, row["mu"])),
-                    ]
-                )
-            )
+        _print_tsv(columns, rows)
     return 0
 
 
 def _cmd_cohomology(args) -> int:
     _check_rank_limit(args, args.n)
     route = cohomology_via_w1 if args.route == "w1" else cohomology_via_partitions
-    table = route(args.n, args.p)
+    entries = route(args.n, args.p).to_json_obj()
     if args.format == "json":
-        print(_dump(table.to_json_obj()))
+        print(_dump(entries))
     else:
-        print("k\tmu\tsource_kind\tsource")
-        for e in table.entries:
-            if isinstance(e.source, Partition):
-                kind, src = "mu", ",".join(map(str, e.source.parts))
-            else:
-                kind, src = "I", ",".join(map(str, e.source))
-            print(f"{e.k}\t{','.join(map(str, e.diagram.parts))}\t{kind}\t{src}")
+        rows = []
+        for e in entries:
+            ((kind, source),) = e["source"].items()
+            rows.append((e["k"], e["mu"], kind, source))
+        _print_tsv(("k", "mu", "source_kind", "source"), rows)
     return 0
 
 
@@ -238,34 +232,17 @@ def _cmd_verify(args) -> int:
                     D = _default_degree(identity, args)
                     reports.append(verify_parastat_identity(n, m, p, D))
     failed = any(not r.passed for r in reports)
+    objs = [r.to_json_obj() for r in reports]
+    if not args.timings:
+        for obj in objs:
+            obj["millis"] = 0
     if args.format == "json":
-        for r in reports:
-            obj = r.to_json_obj()
-            if not args.timings:
-                obj["millis"] = 0
+        for obj in objs:
             print(_dump(obj))
     else:
-        print("identity\tn\tm\tp\tdegree\tstatus\tdenominator\tfirst_discrepancy\tmillis")
-        for r in reports:
-            obj = r.to_json_obj()
-            millis = obj["millis"] if args.timings else 0
-            print(
-                "\t".join(
-                    [
-                        obj["identity"],
-                        str(obj["n"]),
-                        "" if obj["m"] is None else str(obj["m"]),
-                        str(obj["p"]),
-                        "" if obj["degree"] is None else str(obj["degree"]),
-                        obj["status"],
-                        obj.get("denominator", ""),
-                        ""
-                        if obj["first_discrepancy"] is None
-                        else _dump(obj["first_discrepancy"]),
-                        str(millis),
-                    ]
-                )
-            )
+        columns = ("identity", "n", "m", "p", "degree", "status", "denominator",
+                   "first_discrepancy", "millis")
+        _print_tsv(columns, [[obj.get(c) for c in columns] for obj in objs])
     if args.strict and failed:
         return 1
     return 0

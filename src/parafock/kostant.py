@@ -33,8 +33,10 @@ parastatistics identity is compared by truncated integer polynomial
 arithmetic.  The Weyl-character check straightens D_rho times
 the character onto strictly dominant weights (Brauer's formula, type B),
 and expands the 2^n n!-term alternants only to locate a failure.  Nothing
-is ever divided or rounded, and a failure reports the first offending
-monomial.
+is ever divided or rounded.  Every failure is named by ``_first_discrepancy``:
+the first offending monomial, in graded-lexicographic order, of the two
+sides expanded as polynomials (the Schur-basis checks expand only their
+lowest differing degree).
 """
 
 from __future__ import annotations
@@ -320,22 +322,6 @@ def _first_discrepancy(
     }
 
 
-def _finish(
-    identity: str,
-    n: int,
-    m: int | None,
-    p: int,
-    degree: int | None,
-    lhs: MultiPoly,
-    rhs: MultiPoly,
-    t0: float,
-    **extra,
-) -> VerificationReport:
-    cut = None if degree is None else 2 * degree
-    disc = _first_discrepancy(lhs, rhs, cut)
-    return _report(identity, n, m, p, degree, disc, t0, **extra)
-
-
 def _report(
     identity: str,
     n: int,
@@ -389,7 +375,7 @@ def verify_weyl_character(
         return _report("weyl-character", n, None, p, None, None, t0)
     lhs = alternant(top, max_rank)
     rhs = alternant(rho, max_rank) * chi
-    return _finish("weyl-character", n, None, p, None, lhs, rhs, t0)
+    return _report("weyl-character", n, None, p, None, _first_discrepancy(lhs, rhs), t0)
 
 
 def _brauer_product(rho: Weight, chi: MultiPoly) -> dict[tuple[int, ...], int]:
@@ -546,27 +532,23 @@ def _schur_discrepancy(
 
     These s_nu are linearly independent and homogeneous of degree |nu|, so
     the monomials first disagree at the lowest |nu| = d where the maps
-    differ, and only the degree-d s_nu are expanded to name the monomial.
+    differ.  Only the degree-d s_nu of each side are expanded, and
+    ``_first_discrepancy`` names the monomial.
     """
-    gap = {nu: lhs.get(nu, 0) - rhs.get(nu, 0) for nu in lhs.keys() | rhs.keys()}
-    gap = {nu: c for nu, c in gap.items() if c}
+    gap = {nu for nu in lhs.keys() | rhs.keys() if lhs.get(nu, 0) != rhs.get(nu, 0)}
     if not gap:
         return None
     d = min(sum(nu) for nu in gap)
     ctx = SchurContext(n)
 
-    def expand(coeffs: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
+    def expand(coeffs: dict[tuple[int, ...], int]) -> MultiPoly:
+        out = MultiPoly.zero(n)
         for nu, c in coeffs.items():
             if sum(nu) == d:
-                for e, k in ctx._gt(nu, n).items():
-                    out[e] = out.get(e, 0) + c * k
+                out = out + schur(nu, ctx) * c
         return out
 
-    diff = {e: c for e, c in expand(gap).items() if c}
-    e = min(diff, key=_term_key)
-    left = expand(lhs).get(e, 0)
-    return {"degree": d, "monomial": list(e), "lhs": str(left), "rhs": str(left - diff[e])}
+    return _first_discrepancy(expand(lhs), expand(rhs))
 
 
 def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> VerificationReport:
@@ -602,6 +584,5 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     tail = schur_sum(("hook", p), ctx, D)
     denominator = math.prod(_denominator_factors(n, m), start=MultiPoly.one(nv))
     rhs = TruncatedSeries(denominator, math.inf) * tail
-    return _finish(
-        "parastat", n, m, p, D, lhs.poly, rhs.poly, t0, conjecture=True
-    )
+    disc = _first_discrepancy(lhs.poly, rhs.poly, 2 * D)
+    return _report("parastat", n, m, p, D, disc, t0, conjecture=True)

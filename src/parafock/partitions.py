@@ -254,17 +254,15 @@ def enumerate_partitions(
             raise ValueError(f"{name} must be non-negative, got {v}")
     if max_size is None and (max_part is None and max_length is None):
         raise ValueError("unbounded request: give max_size, or max_part and max_length")
-    if max_size is None:
-        if max_part is None or max_length is None:
-            # One finite shape bound still leaves infinitely many sizes; the
-            # stream is lazy and graded, so it is well defined and usable.
-            size_cap = None
-        else:
-            size_cap = max_part * max_length
-    else:
-        size_cap = max_size
-        if max_part is not None and max_length is not None:
-            size_cap = min(size_cap, max_part * max_length)
+    # One positive shape bound alone still leaves infinitely many sizes; the
+    # stream is lazy and graded, so it is well defined and usable.  A zero
+    # bound leaves only the empty diagram.
+    size_cap = max_size
+    if max_part is not None and max_length is not None:
+        shape = max_part * max_length
+        size_cap = shape if size_cap is None else min(size_cap, shape)
+    elif max_part == 0 or max_length == 0:
+        size_cap = 0
     d = 0
     while size_cap is None or d <= size_cap:
         mp = d if max_part is None else min(max_part, d)

@@ -14,9 +14,11 @@ x_i = exp(-e_i): the monomial of a weight v is prod_i x_i^(-v_i).  Under
 it the character of the level-p module is a Laurent polynomial whose
 positive-degree part collects the states above the vacuum.
 
-Alternants are straightened onto strictly dominant weights for B_n
-(``_straighten``) and, for the Schur-basis identity checks, onto
-partitions plus delta for S_n (``_straighten_type_a``).
+Alternants are straightened onto partitions plus delta for S_n
+(``_straighten_type_a``, used by the Schur-basis identity checks) and onto
+strictly dominant weights for B_n (``_straighten``).  A B_n straightening
+is a type-A one on the absolute values: its sign is the sign flips times
+the S_n sort sign.
 """
 
 from __future__ import annotations
@@ -239,16 +241,9 @@ def omega_I(I, n: int) -> SignedPermutation:
     and I = {i_1 < ... < i_r} to n, n-1, ..., n-r+1.
 
     Its inverse reads, in one-line notation, as the complement ascending
-    followed by I descending.
+    followed by I descending.  It is ``w1_element``'s word with every sign +1.
     """
-    I = _validate_subset(I, n)
-    word = [0] * n
-    comp = [x for x in range(1, n + 1) if x not in I]
-    for pos, c in enumerate(comp, start=1):
-        word[c - 1] = pos
-    for k, i in enumerate(sorted(I), start=1):
-        word[i - 1] = n - k + 1
-    return SignedPermutation(word, (1,) * n)
+    return SignedPermutation(w1_element(I, n).word, (1,) * n)
 
 
 def _validate_subset(I, n: int) -> frozenset[int]:
@@ -259,11 +254,17 @@ def _validate_subset(I, n: int) -> frozenset[int]:
 
 
 def w1_element(I, n: int) -> SignedPermutation:
-    """Coset representative: flip signs on I, then rearrange by omega_I."""
+    """Coset representative: flip signs on I, then rearrange by omega_I.
+
+    The word is omega_I, built by inverting its one-line inverse: the
+    complement of I ascending, then I descending.
+    """
     I = _validate_subset(I, n)
-    om = omega_I(I, n)
-    signs = tuple(-1 if j in I else 1 for j in range(1, n + 1))
-    return SignedPermutation(om.word, signs)
+    inverse = [j for j in range(1, n + 1) if j not in I] + sorted(I, reverse=True)
+    word = [0] * n
+    for pos, j in enumerate(inverse, start=1):
+        word[j - 1] = pos
+    return SignedPermutation(word, (-1 if j in I else 1 for j in range(1, n + 1)))
 
 
 def phi_sigma(sigma: SignedPermutation, rs: RootSystemB) -> list[Weight]:
@@ -342,24 +343,23 @@ def _straighten(coords) -> tuple[int, tuple[int, ...]] | None:
 
     Returns ``(epsilon(w), nu)``, so that D_v = epsilon(w) D_nu, or None when
     v is singular (a zero coordinate or two equal absolute values), where
-    D_v = 0.  The sign counts the negated coordinates plus the inversions of
-    the sort of the absolute values into decreasing order.
+    D_v = 0.  w flips the signs of the negative coordinates and then sorts
+    the absolute values into decreasing order, so the B_n sign is the sign
+    flips times the S_n sort sign.  ``_straighten_type_a`` of the absolute
+    values gives that sort sign, and nu less delta.
     """
-    sign = 1
-    mags = []
-    for c in coords:
-        if c == 0:
-            return None
-        if c < 0:
-            sign = -sign
-            c = -c
-        for m in mags:
-            if m == c:
-                return None
-            if m < c:
-                sign = -sign
-        mags.append(c)
-    return sign, tuple(sorted(mags, reverse=True))
+    if 0 in coords:
+        return None
+    hit = _straighten_type_a([abs(c) for c in coords])
+    if hit is None:
+        return None
+    sign, nu = hit
+    if sum(1 for c in coords if c < 0) % 2:
+        sign = -sign
+    # distinct positive entries leave no zero row to strip, so adding delta
+    # back to all n rows restores the sorted absolute values
+    top = len(nu) - 1
+    return sign, tuple(x + top - i for i, x in enumerate(nu))
 
 
 def _straighten_type_a(exponents) -> tuple[int, tuple[int, ...]] | None:

@@ -32,6 +32,11 @@ def test_schur_tsv(capsys):
     code, out, _ = run(capsys, "schur", "--lambda", "1", "--n", "2", "--format", "tsv")
     assert code == 0
     assert out.splitlines() == ["exp\tcoef", "0,2\t1", "2,0\t1"]
+    code, out, _ = run(
+        capsys, "hook-schur", "--lambda", "2,1", "--n", "1", "--m", "1", "--format", "tsv"
+    )
+    assert code == 0
+    assert out.splitlines() == ["exp\tcoef", "2,4\t1", "4,2\t1"]
 
 
 def test_schur_empty_partition_spellings(capsys):
@@ -124,6 +129,17 @@ def test_cohomology_tsv(capsys):
         "k\tmu\tsource_kind\tsource",
         "0\t\tmu\t",
         "1\t3\tmu\t1",
+    ]
+    code, out, _ = run(
+        capsys, "cohomology", "--route", "w1", "--n", "2", "--p", "1", "--format", "tsv"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "k\tmu\tsource_kind\tsource",
+        "0\t\tI\t",
+        "1\t2\tI\t2",
+        "2\t3,1\tI\t1",
+        "3\t3,3\tI\t1,2",
     ]
 
 
@@ -278,6 +294,28 @@ def test_verify_tsv_layout(capsys):
     header, row = out.splitlines()
     assert header == "identity\tn\tm\tp\tdegree\tstatus\tdenominator\tfirst_discrepancy\tmillis"
     assert row == "paraboson\t1\t\t1\t10\tpass\tprinted\t\t0"
+    # a located failure carries its discrepancy as compact JSON
+    _, out, _ = run(
+        capsys,
+        "verify", "--identity", "paraboson",
+        "--n", "2", "--p", "1", "--degree", "6", "--alt-denominator", "--format", "tsv",
+    )
+    assert out.splitlines()[1:] == [
+        "paraboson\t2\t\t1\t6\tpass\tprinted\t\t0",
+        "paraboson\t2\t\t1\t6\tfail\tsymmetric\t"
+        '{"degree":2,"monomial":[0,4],"lhs":"0","rhs":"-1"}\t0',
+    ]
+    # exact checks leave m, degree and denominator empty
+    _, out, _ = run(
+        capsys, "verify", "--identity", "weyl-character", "--n", "2", "--p", "1", "--format", "tsv"
+    )
+    assert out.splitlines()[1:] == ["weyl-character\t2\t\t1\t\tpass\t\t\t0"]
+    _, out, _ = run(
+        capsys,
+        "verify", "--identity", "parastat",
+        "--n", "1", "--m", "1", "--p", "2", "--degree", "4", "--format", "tsv",
+    )
+    assert out.splitlines()[1:] == ["parastat\t1\t1\t2\t4\tpass\t\t\t0"]
 
 
 def test_verify_degree_resolution(capsys, monkeypatch):

@@ -624,6 +624,22 @@ def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
     assert schur_calls == []
 
 
+def test_schur_basis_failures_are_named_by_first_discrepancy(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _first_discrepancy(*args)
+
+    monkeypatch.setattr(kostant, "_first_discrepancy", spy)
+    assert verify_parafermion_identity(3, 2).passed
+    assert verify_paraboson_identity(3, 2, 8).passed
+    assert calls == []
+    rep = verify_paraboson_identity(3, 2, 8, denominator="symmetric")
+    assert not rep.passed and rep.first_discrepancy is not None
+    assert len(calls) == 1
+
+
 def test_parastat_reports():
     rep = verify_parastat_identity(1, 1, 1, 6)
     assert rep.passed

@@ -147,6 +147,12 @@ def test_enumerate_rejects_fully_unbounded():
         list(enumerate_partitions())
 
 
+def test_zero_shape_bound_yields_only_the_empty_diagram():
+    # with one bound zero and the other unbounded, no size past 0 has a diagram
+    assert list(enumerate_partitions(max_part=0)) == [Partition()]
+    assert list(enumerate_partitions(max_length=0)) == [Partition()]
+
+
 # -- oracle agreement and invariants ------------------------------------------
 
 def test_conjugate_matches_cell_transpose_oracle():

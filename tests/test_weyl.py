@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parafock import weyl
 from parafock.partitions import Partition
 from parafock.polyring import MultiPoly
 from parafock.schur import SchurContext, _sn_alternant, schur
@@ -208,6 +209,20 @@ def test_w1_frozen_example():
         w1_element({0}, 3)
     with pytest.raises(ValueError):
         omega_I({4}, 3)
+
+
+def test_w1_element_builds_one_signed_permutation(monkeypatch):
+    built = []
+
+    class Counted(SignedPermutation):
+        def __init__(self, word, signs):
+            built.append(word)
+            super().__init__(word, signs)
+
+    monkeypatch.setattr(weyl, "SignedPermutation", Counted)
+    w = w1_element({1, 3}, 4)
+    assert (w.word, w.signs) == ((4, 1, 3, 2), (-1, 1, -1, 1))
+    assert len(built) == 1
 
 
 def test_inversion_sets_lie_in_nilradical_with_predicted_size():
