@@ -34,7 +34,7 @@ from parafock.partitions import (
     frobenius_decompose,
 )
 from parafock.polyring import MultiPoly, TruncatedSeries
-from parafock.schur import SchurContext, schur
+from parafock.schur import SchurContext, hook_schur, schur
 from parafock.weyl import (
     ALTERNANT_RANK_LIMIT,
     RootSystemB,
@@ -687,6 +687,75 @@ def test_parafermion_builds_no_jacobi_trudi_minors(monkeypatch):
     # nor does its super form, which builds the hook Schur polynomials
     assert verify_parastat_identity(1, 1, 1, 14).passed
     assert calls == []
+
+
+def _parastat_by_product(n, m, p, D, chi):
+    """The whole-product parastat verdict for the Euler sum ``chi``: the
+    mixed-pair product expanded in full times sum chi[lam] hs_lam, against
+    the whole denominator times the hook Schur sum, both truncated at D."""
+    ctx = SchurContext(n, m)
+    nv = n + m
+    one = MultiPoly.one(nv)
+    z = [MultiPoly.variable(nv, i) for i in range(nv)]
+    mixed = math.prod((one + z[i] * z[j] for i in range(n) for j in range(n, nv)), start=one)
+    same = [(i, j) for i, j in combinations(range(nv), 2) if (i < n) == (j < n)]
+    den = math.prod([one - x for x in z] + [one - z[i] * z[j] for i, j in same], start=one)
+    euler = MultiPoly.zero(nv)
+    for lam, c in chi.items():
+        euler = euler + hook_schur(lam, ctx) * c
+    tail = MultiPoly.zero(nv)
+    for lam in enumerate_partitions(max_part=p, max_size=D):
+        tail = tail + hook_schur(lam, ctx)
+    lhs = TruncatedSeries(mixed, math.inf) * TruncatedSeries(euler, D)
+    rhs = TruncatedSeries(den, math.inf) * TruncatedSeries(tail, D)
+    disc = _first_discrepancy(lhs.poly, rhs.poly)
+    return ("pass" if disc is None else "fail"), disc
+
+
+def _bump(chi, lam):
+    chi[lam] += 1
+
+
+def _drop(chi, lam):
+    del chi[lam]
+
+
+@pytest.mark.parametrize("perturb", [_bump, _drop], ids=["bump", "drop"])
+@pytest.mark.parametrize(
+    "case",
+    [(n, m, p, D) for n in range(3) for m in range(3) if n + m
+     for p in range(3) for D in (4, 8)],
+    ids=str,
+)
+def test_perturbed_parastat_euler_sum_fails_where_the_product_does(monkeypatch, case, perturb):
+    # one run per diagram of the Euler sum, each perturbing that diagram alone
+    real = kostant._euler_characteristic
+    sizes = []
+
+    def count(entries):
+        chi = real(entries)
+        sizes.append(len(chi))
+        return chi
+
+    monkeypatch.setattr(kostant, "_euler_characteristic", count)
+    assert verify_parastat_identity(*case).passed
+    for index in range(sizes[0]):
+        used = []
+
+        def perturbed(entries):
+            chi = dict(real(entries))
+            perturb(chi, list(chi)[index])
+            used.append(chi)
+            return chi
+
+        monkeypatch.setattr(kostant, "_euler_characteristic", perturbed)
+        rep = verify_parastat_identity(*case)
+        assert len(used) == 1
+        assert rep.status == "fail", (case, index)
+        assert (rep.status, rep.first_discrepancy) == _parastat_by_product(*case, used[0]), (
+            case,
+            index,
+        )
 
 
 def test_parastat_degenerations_match_single_block_identities():
