@@ -2,7 +2,9 @@
 """Run the character-identity verifiers and read their reports.
 
 Three identities (parafermionic, parabosonic, parastatistics) plus the
-alternant consistency check.  Everything is exact integer arithmetic; a
+Weyl-character check, which straightens D_rho times the character onto
+strictly dominant weights (Brauer's formula) and expands the alternants
+only to locate a failure.  Everything is exact integer arithmetic; a
 failing check names the first offending monomial instead of a distance.
 """
 
@@ -21,7 +23,7 @@ def show(report):
 
 
 def main():
-    print("alternant consistency (exact Laurent polynomials):")
+    print("Weyl-character check (exact, by Brauer straightening):")
     for n in (1, 2, 3):
         show(verify_weyl_character(n, p=2))
 

@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--degree",
         type=int,
-        help=f"truncation bound, paraboson and parastat only (default from ${DEGREE_ENV})",
+        help=f"truncation bound, paraboson and parastat only (default ${DEGREE_ENV}, "
+        f"else {DEFAULT_DEGREES['paraboson']} for paraboson, {DEFAULT_DEGREES['parastat']} "
+        "for parastat)",
     )
     sp.add_argument(
         "--sweep",

@@ -30,7 +30,8 @@ s_lambda = a_{lambda+delta} / a_delta straightens term by term onto +-s_nu
 (type A).  The orbits are applied one at a time, so a pass expands
 neither side, nor even the whole denominator, into monomials.  The
 parastatistics identity is compared by truncated integer polynomial
-arithmetic.  The Weyl-character check straightens D_rho times
+arithmetic, each side taking its factors one at a time under the degree
+cap.  The Weyl-character check straightens D_rho times
 the character onto strictly dominant weights (Brauer's formula, type B),
 and expands the 2^n n!-term alternants only to locate a failure.  Nothing
 is ever divided or rounded.  Every failure is named by ``_first_discrepancy``:
@@ -55,7 +56,7 @@ from .partitions import (
     hook_condition,
 )
 from .polyring import MultiPoly, TruncatedSeries, expand_inverse_product, _term_key
-from .schur import SchurContext, hook_schur, schur, schur_sum
+from .schur import SchurContext, _schur_expansion, schur_sum
 from .weyl import (
     ALTERNANT_RANK_LIMIT,
     Weight,
@@ -222,17 +223,6 @@ def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
     return math.prod(_denominator_groups(n, symmetric), start=MultiPoly.one(n))
 
 
-def _parastat_mixed_pairs(n: int, m: int) -> MultiPoly:
-    """prod (1 + x_i x_j) over opposite-parity pairs."""
-    nv = n + m
-    one = MultiPoly.one(nv)
-    out = one
-    for i in range(0, n):
-        for j in range(n, nv):
-            out = out * (one + MultiPoly.variable(nv, i) * MultiPoly.variable(nv, j))
-    return out
-
-
 def _euler_characteristic(entries) -> dict[Partition, int]:
     """Euler-Poincare characteristic in the Schur basis: each entry's
     mu^(p) with sign (-1)^k, as {diagram: coefficient}."""
@@ -248,10 +238,7 @@ def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSerie
     table = cohomology_via_partitions(n, p)
     if not 0 <= k <= table.max_degree():
         raise ValueError(f"k={k} outside 0..{table.max_degree()}")
-    ctx = SchurContext(n)
-    numerator = MultiPoly.zero(n)
-    for entry in table.entries_at(k):
-        numerator = numerator + schur(entry.diagram, ctx)
+    numerator = _schur_expansion(((e.diagram, 1) for e in table.entries_at(k)), SchurContext(n))
     universal = expand_inverse_product(_denominator_factors(n), valid_degree)
     return TruncatedSeries(numerator, math.inf) * universal
 
@@ -300,16 +287,9 @@ class VerificationReport:
         return out
 
 
-def _first_discrepancy(
-    lhs: MultiPoly, rhs: MultiPoly, max_degree2: int | None = None
-) -> dict | None:
+def _first_discrepancy(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
     keys = set(lhs.terms) | set(rhs.terms)
-    bad = [
-        e
-        for e in keys
-        if (max_degree2 is None or sum(e) <= max_degree2)
-        and lhs.terms.get(e, 0) != rhs.terms.get(e, 0)
-    ]
+    bad = [e for e in keys if lhs.terms.get(e, 0) != rhs.terms.get(e, 0)]
     if not bad:
         return None
     e = min(bad, key=_term_key)
@@ -540,15 +520,11 @@ def _schur_discrepancy(
         return None
     d = min(sum(nu) for nu in gap)
     ctx = SchurContext(n)
-
-    def expand(coeffs: dict[tuple[int, ...], int]) -> MultiPoly:
-        out = MultiPoly.zero(n)
-        for nu, c in coeffs.items():
-            if sum(nu) == d:
-                out = out + schur(nu, ctx) * c
-        return out
-
-    return _first_discrepancy(expand(lhs), expand(rhs))
+    lhs_d, rhs_d = (
+        _schur_expansion(((nu, c) for nu, c in side.items() if sum(nu) == d), ctx)
+        for side in (lhs, rhs)
+    )
+    return _first_discrepancy(lhs_d, rhs_d)
 
 
 def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> VerificationReport:
@@ -560,6 +536,12 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     over lambda with at most p columns; compared through ``valid_degree``.
     Setting m=0 reproduces the parafermionic check, n=0 the parabosonic one
     in the odd variables.
+
+    Each side starts from its sum truncated at degree D and takes its
+    factors one at a time (1 + x_i x_j on the left; 1 - x_i, then 1 - x_i x_j
+    on the right).  No factor has a negative exponent, so dropping the terms
+    above D at every step leaves the degree-D truncation of the whole
+    product, and neither product of factors is ever expanded.
     """
     if n < 0 or m < 0 or n + m < 1:
         raise ValueError(f"need n, m >= 0 with n + m >= 1, got n={n}, m={m}")
@@ -577,12 +559,14 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     kept = [
         e for e in table.entries if e.diagram.size <= D and hook_condition(e.diagram, n, m)
     ]
-    total = MultiPoly.zero(nv)
-    for lam, c in _euler_characteristic(kept).items():
-        total = total + hook_schur(lam, ctx, "br") * c
-    lhs = TruncatedSeries(_parastat_mixed_pairs(n, m), math.inf) * TruncatedSeries(total, D)
-    tail = schur_sum(("hook", p), ctx, D)
-    denominator = math.prod(_denominator_factors(n, m), start=MultiPoly.one(nv))
-    rhs = TruncatedSeries(denominator, math.inf) * tail
-    disc = _first_discrepancy(lhs.poly, rhs.poly, 2 * D)
+    euler = _schur_expansion(_euler_characteristic(kept).items(), ctx, hook=True)
+    one = MultiPoly.one(nv)
+    mixed = [
+        one + MultiPoly.variable(nv, i) * MultiPoly.variable(nv, j)
+        for i in range(n)
+        for j in range(n, nv)
+    ]
+    lhs = math.prod(mixed, start=TruncatedSeries(euler, D))
+    rhs = math.prod(_denominator_factors(n, m), start=schur_sum(("hook", p), ctx, D))
+    disc = _first_discrepancy(lhs.poly, rhs.poly)
     return _report("parastat", n, m, p, D, disc, t0, conjecture=True)

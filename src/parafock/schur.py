@@ -32,6 +32,9 @@ Macdonald I.5, Berele & Regev 1987) or from super-semistandard tableaux
 All ``tab`` engines (plain, skew and hook) share one super-tableau
 enumerator; with no odd letters (m = 0) its tableaux are the ordinary
 semistandard ones.
+
+Every sum of c s_lambda (or c hs_lambda) goes through one accumulator,
+``_schur_expansion``, which adds the branching memo's terms into one dict.
 """
 
 from __future__ import annotations
@@ -318,6 +321,23 @@ def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
     raise ValueError(f"unknown algorithm {algorithm!r} (expected br or tab)")
 
 
+def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly:
+    """sum c s_lambda over the (lambda, c) pairs of ``coeffs``, or sum c hs_lambda
+    with ``hook``, added term by term from the branching memo into one dict."""
+    k = ctx.nvars if hook else ctx.n
+    terms: dict[tuple[int, ...], int] = {}
+    for lam, c in coeffs:
+        for e, x in ctx._gt(as_partition(lam).parts, k).items():
+            s = terms.get(e, 0) + c * x
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    poly = MultiPoly(ctx.nvars)
+    poly.terms = terms
+    return poly
+
+
 def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> TruncatedSeries:
     """Sum of (hook) Schur polynomials over a constrained family of diagrams.
 
@@ -338,23 +358,15 @@ def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> T
     if kind in ("max_columns", "max_rows") and ctx.m != 0:
         raise ValueError(f"constraint {kind!r} needs a context with m=0")
     if kind == "max_columns":
-        total = MultiPoly.zero(ctx.nvars)
-        for lam in enumerate_partitions(max_part=p, max_length=ctx.n):
-            total = total + schur(lam, ctx)
-        return TruncatedSeries(total, valid_degree)
-    if valid_degree == math.inf:
+        family = enumerate_partitions(max_part=p, max_length=ctx.n)
+    elif valid_degree == math.inf:
         raise ValueError(f"constraint {kind!r} needs a finite degree bound")
-    bound = int(valid_degree)
-    if kind == "max_rows":
-        total = MultiPoly.zero(ctx.nvars)
-        for lam in enumerate_partitions(max_length=min(p, ctx.n), max_size=bound):
-            total = total + schur(lam, ctx)
-        return TruncatedSeries(total, bound)
-    if kind == "hook":
-        total = MultiPoly.zero(ctx.nvars)
-        for lam in enumerate_partitions(max_part=p, max_size=bound):
-            if not hook_condition(lam, ctx.n, ctx.m):
-                continue
-            total = total + hook_schur(lam, ctx, "br")
-        return TruncatedSeries(total, bound)
-    raise ValueError(f"unknown constraint kind {kind!r}")
+    elif kind == "max_rows":
+        family = enumerate_partitions(max_length=min(p, ctx.n), max_size=int(valid_degree))
+    elif kind == "hook":
+        family = enumerate_partitions(max_part=p, max_size=int(valid_degree))
+        family = (lam for lam in family if hook_condition(lam, ctx.n, ctx.m))
+    else:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    total = _schur_expansion(((lam, 1) for lam in family), ctx, hook=kind == "hook")
+    return TruncatedSeries(total, valid_degree)

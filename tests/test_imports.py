@@ -1,0 +1,51 @@
+"""Every import in the package, its tests and its demos is read somewhere.
+
+Deleting code tends to strand the imports it needed.  This walks each
+file's syntax tree with ``ast`` and fails on an imported name that the file
+never reads.  A name listed in the file's ``__all__`` counts as read, which
+covers what ``__init__.py`` re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    [
+        *(ROOT / "src" / "parafock").glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "demos").glob("*.py"),
+    ]
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in ``source`` that nothing reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import a.b`` binds ``a``
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_checker_flags_unread_imports():
+    source = "import os.path\nfrom math import inf, pi as tau\n__all__ = ['inf']\n"
+    assert unused_imports(source) == ["os", "tau"]
+    assert unused_imports(source + "print(os.sep, tau)\n") == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -411,7 +411,7 @@ def _identity_by_product(n, p, degree=None, denominator="printed"):
         disc = _first_discrepancy(lhs, den * tail)
     else:
         rhs = TruncatedSeries(den, math.inf) * TruncatedSeries(tail, degree)
-        disc = _first_discrepancy(lhs, rhs.poly, 2 * degree)
+        disc = _first_discrepancy(TruncatedSeries(lhs, degree).poly, rhs.poly)
     return ("pass" if disc is None else "fail"), disc
 
 
@@ -605,7 +605,7 @@ def test_rank_six_paraboson_verdicts():
 def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
     schur_module = importlib.import_module("parafock.schur")
     series_products, schur_calls = [], []
-    real_mul, real_schur = TruncatedSeries.__mul__, schur_module.schur
+    real_mul, real_schur, real_gt = TruncatedSeries.__mul__, schur_module.schur, SchurContext._gt
 
     def spy_mul(self, other):
         series_products.append(other)
@@ -615,9 +615,14 @@ def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
         schur_calls.append(args)
         return real_schur(*args, **kwargs)
 
+    def spy_gt(self, parts, k):
+        # every Schur expansion reads the branching memo
+        schur_calls.append((parts, k))
+        return real_gt(self, parts, k)
+
     monkeypatch.setattr(TruncatedSeries, "__mul__", spy_mul)
     monkeypatch.setattr(schur_module, "schur", spy_schur)
-    monkeypatch.setattr(kostant, "schur", spy_schur)
+    monkeypatch.setattr(SchurContext, "_gt", spy_gt)
     assert verify_parafermion_identity(4, 3).passed
     assert verify_paraboson_identity(4, 2, 10).passed
     assert series_products == []
@@ -758,6 +763,30 @@ def test_perturbed_parastat_euler_sum_fails_where_the_product_does(monkeypatch, 
         )
 
 
+def test_parastat_multiplies_in_one_factor_at_a_time(monkeypatch):
+    schur_module = importlib.import_module("parafock.schur")
+    operands, hook_calls = [], []
+    real_mul, real_hook = TruncatedSeries.__mul__, schur_module.hook_schur
+
+    def spy_mul(self, other):
+        operands.append(len(other.terms if isinstance(other, MultiPoly) else other.poly.terms))
+        return real_mul(self, other)
+
+    def spy_hook(*args, **kwargs):
+        hook_calls.append(args)
+        return real_hook(*args, **kwargs)
+
+    for meth in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(TruncatedSeries, meth, spy_mul)
+    monkeypatch.setattr(schur_module, "hook_schur", spy_hook)
+    monkeypatch.setattr(kostant, "hook_schur", spy_hook, raising=False)
+    assert verify_parastat_identity(2, 2, 2, 8).passed
+    # both sides take their factors 1 +- x_i x_j and 1 - x_i one at a time
+    assert operands and max(operands) <= 2
+    # the Euler and hook sums come straight from the branching memo
+    assert hook_calls == []
+
+
 def test_parastat_degenerations_match_single_block_identities():
     # m = 0 is the parafermionic statement, n = 0 the parabosonic one
     assert verify_parastat_identity(2, 0, 1, 6).passed
@@ -789,7 +818,5 @@ def test_first_discrepancy_picks_smallest_monomial():
     disc = _first_discrepancy(a, b)
     assert disc == {"degree": 2, "monomial": [0, 4], "lhs": "5", "rhs": "7"}
     assert _first_discrepancy(a, a) is None
-    # the cut hides disagreements beyond the trusted degree
-    assert _first_discrepancy(a, b, max_degree2=2) is None
     half = _first_discrepancy(MultiPoly(1, {(1,): 1}), MultiPoly(1, {(1,): 2}))
     assert half["degree"] == 0.5
