@@ -189,6 +189,53 @@ def test_truncated_product_matches_full_product_through_bound(a, b, d):
     assert approx.poly.max_degree2() is None or approx.poly.max_degree2() <= 2 * d
 
 
+def pair_product(a, b, cut=math.inf):
+    """Term-pair product of two term dicts, keeping doubled degrees <= cut."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= cut:
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+bounds = st.one_of(st.integers(0, 6), st.just(math.inf))
+
+
+@settings(max_examples=80)
+@given(laurent_polys, laurent_polys)
+def test_product_matches_term_pair_reference(a, b):
+    assert (a * b).terms == pair_product(a.terms, b.terms)
+    assert (b * a).terms == pair_product(a.terms, b.terms)
+
+
+@settings(max_examples=80)
+@given(cone_polys, bounds, cone_polys, bounds, st.sampled_from(("series", "poly", "int")),
+       st.integers(-3, 3))
+def test_series_product_matches_term_pair_reference(a, da, b, db, kind, k):
+    s = TruncatedSeries(a, da)
+    if kind == "series":
+        other = TruncatedSeries(b, db)
+        terms, bound = other.poly.terms, min(da, db)
+    elif kind == "poly":
+        other, terms, bound = b, b.terms, da
+    else:
+        other, terms, bound = k, ({(0,) * NVARS: k} if k else {}), da
+    expected = pair_product(s.poly.terms, terms, 2 * bound)
+    for product in (s * other, other * s):
+        assert product.valid_degree == bound
+        assert product.poly.terms == expected
+
+
+def test_series_times_negative_exponent_raises():
+    s = TruncatedSeries(MultiPoly.variable(2, 0) + 1, 3)
+    laurent = MultiPoly.half_term(2, (-1, 2))
+    for op in (lambda: s * laurent, lambda: laurent * s, lambda: s * (laurent + 1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            op()
+
+
 def test_series_mixed_bounds_take_the_weaker():
     x = MultiPoly.variable(1, 0)
     a = TruncatedSeries(x + 1, 5)
