@@ -190,7 +190,7 @@ def _default_degree(identity: str, args) -> int:
         if value < 0:
             raise ValueError(f"{DEGREE_ENV} must be >= 0, got {value}")
         return value
-    return DEFAULT_DEGREES.get(identity, 10)
+    return DEFAULT_DEGREES[identity]
 
 
 def _cmd_verify(args) -> int:

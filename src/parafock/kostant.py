@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .partitions import (
@@ -270,20 +270,11 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json_obj(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "degree": self.degree,
-            "status": self.status,
-            "first_discrepancy": self.first_discrepancy,
-            "millis": self.millis,
-        }
-        if self.denominator is not None:
-            out["denominator"] = self.denominator
-        if self.conjecture:
-            out["conjecture"] = True
+        out = asdict(self)
+        if self.denominator is None:
+            del out["denominator"]
+        if not self.conjecture:
+            del out["conjecture"]
         return out
 
 
@@ -395,7 +386,7 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     _validate_np(n, p)
     t0 = time.perf_counter()
     chi = _euler_characteristic(cohomology_via_partitions(n, p).entries)
-    lhs = {lam.parts: c for lam, c in chi.items() if len(lam) <= n}
+    lhs = {lam.parts: c for lam, c in chi.items()}
     family = enumerate_partitions(max_part=p, max_length=n)
     rhs = _denominator_times(n, False, family)
     return _report("parafermion", n, None, p, None, _schur_discrepancy(lhs, rhs, n), t0)

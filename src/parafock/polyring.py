@@ -17,11 +17,19 @@ canonical term order used everywhere else in the package.
 its coefficients are trusted; products propagate the weaker bound.  Series
 are restricted to non-negative exponents so that truncation by total degree
 is sound.
+
+Both classes multiply through one term-pair loop, ``_mul_terms``, which
+drops every term above a degree cut (none for an exact product).  The
+public constructors check outside input: exponent lengths, non-negative
+series exponents, the degree bound.  Results the library computes itself
+are wrapped by the private ``MultiPoly._of`` and ``TruncatedSeries._of``
+and are not checked again.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Iterable
 
 __all__ = [
@@ -38,6 +46,30 @@ def _term_key(e: tuple[int, ...]):
 
 def _fmt_half(d: int) -> str:
     return str(d // 2) if d % 2 == 0 else f"{d}/2"
+
+
+def _mul_terms(a: dict, b: dict, cut=math.inf) -> dict:
+    """Product of two term dicts without the terms of doubled degree above cut.
+
+    The smaller operand is sorted by degree, so each term of the larger one
+    stops at its first partner past the cut.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    inner = sorted(((sum(e), e, c) for e, c in b.items()), key=lambda t: t[0])
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        room = cut - sum(ea)
+        for d, eb, cb in inner:
+            if d > room:
+                break
+            e = tuple(map(add, ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 class MultiPoly:
@@ -67,6 +99,14 @@ class MultiPoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "MultiPoly":
+        """Wrap terms the library computed itself, without copying or checking."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -126,7 +166,7 @@ class MultiPoly:
 
     def component2(self, d2: int) -> "MultiPoly":
         """Homogeneous component of total degree d2/2."""
-        return MultiPoly(
+        return MultiPoly._of(
             self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d2}
         )
 
@@ -158,16 +198,12 @@ class MultiPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
+        return MultiPoly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        res = MultiPoly(self.nvars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -183,28 +219,13 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):
-            res = MultiPoly(self.nvars)
-            if other:
-                res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            return MultiPoly._of(
+                self.nvars, {e: c * other for e, c in self.terms.items()} if other else {}
+            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
+        return MultiPoly._of(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -231,9 +252,7 @@ class MultiPoly:
             for i, x in enumerate(e):
                 ne[images[i]] = x
             out[tuple(ne)] = c
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
+        return MultiPoly._of(self.nvars, out)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial quotient; raises ValueError if it does not divide.
@@ -267,9 +286,7 @@ class MultiPoly:
                     rem[e] = s
                 else:
                     rem.pop(e, None)
-        res = MultiPoly(self.nvars)
-        res.terms = {e: c for e, c in quot.items() if c}
-        return res
+        return MultiPoly._of(self.nvars, {e: c for e, c in quot.items() if c})
 
     # -- serialization and display ----------------------------------------
 
@@ -331,6 +348,10 @@ class TruncatedSeries:
     ``valid_degree`` may be ``math.inf`` for exact (finite) sums.  Terms of
     total degree above the bound are dropped on construction; products take
     the weaker of the two bounds.  Exponents must be non-negative.
+
+    The constructor checks its input, and so does lifting a ``MultiPoly`` or
+    int operand.  A product is built by ``_mul_terms`` from two series that
+    already passed those checks, so it is wrapped by ``_of`` unchecked.
     """
 
     __slots__ = ("poly", "valid_degree")
@@ -346,10 +367,16 @@ class TruncatedSeries:
             kept = dict(poly.terms)
         else:
             kept = {e: c for e, c in poly.terms.items() if sum(e) <= 2 * valid_degree}
-        p = MultiPoly(poly.nvars)
-        p.terms = kept
-        self.poly = p
+        self.poly = MultiPoly._of(poly.nvars, kept)
         self.valid_degree = valid_degree
+
+    @classmethod
+    def _of(cls, poly: MultiPoly, valid_degree) -> "TruncatedSeries":
+        """Wrap a product the library computed itself, without checking it."""
+        series = object.__new__(cls)
+        series.poly = poly
+        series.valid_degree = valid_degree
+        return series
 
     @property
     def nvars(self) -> int:
@@ -386,26 +413,8 @@ class TruncatedSeries:
         if other is None:
             return NotImplemented
         bound = min(self.valid_degree, other.valid_degree)
-        if bound == math.inf:
-            return TruncatedSeries(self.poly * other.poly, bound)
-        cut = 2 * bound
-        a = self.poly.terms
-        b = sorted(other.poly.terms.items(), key=lambda t: sum(t[0]))
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in a.items():
-            da = sum(ea)
-            for eb, cb in b:
-                if da + sum(eb) > cut:
-                    break
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        p = MultiPoly(self.nvars)
-        p.terms = out
-        return TruncatedSeries(p, bound)
+        terms = _mul_terms(self.poly.terms, other.poly.terms, 2 * bound)
+        return TruncatedSeries._of(MultiPoly._of(self.nvars, terms), bound)
 
     __rmul__ = __mul__
 
@@ -462,7 +471,5 @@ def expand_inverse_product(
             terms[tuple(k * x for x in e)] = coef
             coef *= c
             k += 1
-        geo = MultiPoly(nv)
-        geo.terms = terms
-        result = result * TruncatedSeries(geo, valid_degree)
+        result = result * MultiPoly._of(nv, terms)
     return result

@@ -96,8 +96,7 @@ class SchurContext:
                 e[i] += 2
             e = tuple(e)
             terms[e] = terms.get(e, 0) + 1
-        poly = MultiPoly(self.nvars)
-        poly.terms = terms
+        poly = MultiPoly._of(self.nvars, terms)
         self._h_cache[key] = poly
         return poly
 
@@ -213,9 +212,7 @@ def _sn_alternant(exponents: list[int], ctx: SchurContext) -> MultiPoly:
             )
 
     place(list(range(n)), [], 1)
-    poly = MultiPoly(ctx.nvars)
-    poly.terms = terms
-    return poly
+    return MultiPoly._of(ctx.nvars, terms)
 
 
 def _iter_super_contents(
@@ -262,9 +259,7 @@ def _content_sum(contents: Iterator[list[int]], nvars: int) -> MultiPoly:
     for content in contents:
         e = tuple(2 * x for x in content) + (0,) * (nvars - len(content))
         terms[e] = terms.get(e, 0) + 1
-    poly = MultiPoly(nvars)
-    poly.terms = terms
-    return poly
+    return MultiPoly._of(nvars, terms)
 
 
 def schur(lam, ctx: SchurContext, algorithm: str = "gt") -> MultiPoly:
@@ -274,9 +269,7 @@ def schur(lam, ctx: SchurContext, algorithm: str = "gt") -> MultiPoly:
     """
     lam = as_partition(lam)
     if algorithm == "gt":
-        poly = MultiPoly(ctx.nvars)
-        poly.terms = dict(ctx._gt(lam.parts, ctx.n))
-        return poly
+        return MultiPoly._of(ctx.nvars, dict(ctx._gt(lam.parts, ctx.n)))
     if algorithm == "jt":
         if len(lam) > ctx.n:
             return MultiPoly.zero(ctx.nvars)
@@ -313,9 +306,7 @@ def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
     """
     lam = as_partition(lam)
     if algorithm == "br":
-        poly = MultiPoly(ctx.nvars)
-        poly.terms = dict(ctx._gt(lam.parts, ctx.nvars))
-        return poly
+        return MultiPoly._of(ctx.nvars, dict(ctx._gt(lam.parts, ctx.nvars)))
     if algorithm == "tab":
         return _content_sum(_iter_super_contents(lam, ctx.n, ctx.m), ctx.nvars)
     raise ValueError(f"unknown algorithm {algorithm!r} (expected br or tab)")
@@ -333,9 +324,7 @@ def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly
                 terms[e] = s
             else:
                 terms.pop(e, None)
-    poly = MultiPoly(ctx.nvars)
-    poly.terms = terms
-    return poly
+    return MultiPoly._of(ctx.nvars, terms)
 
 
 def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> TruncatedSeries:

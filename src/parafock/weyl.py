@@ -326,9 +326,7 @@ def alternant(chi: Weight, max_rank: int = ALTERNANT_RANK_LIMIT) -> MultiPoly:
                 terms[e] = s
             else:
                 del terms[e]
-    poly = MultiPoly(n)
-    poly.terms = terms
-    return poly
+    return MultiPoly._of(n, terms)
 
 
 def _check_alternant_rank(n: int, max_rank: int) -> None:

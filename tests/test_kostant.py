@@ -787,6 +787,21 @@ def test_parastat_multiplies_in_one_factor_at_a_time(monkeypatch):
     assert hook_calls == []
 
 
+def test_parastat_checks_only_its_starting_sums(monkeypatch):
+    checked = []
+    real = TruncatedSeries.__init__
+
+    def spy(self, poly, valid_degree):
+        checked.append(len(poly))
+        real(self, poly, valid_degree)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", spy)
+    assert verify_parastat_identity(2, 2, 2, 8).passed
+    # the Euler sum and the hook Schur sum; every factor is a two-term lift,
+    # and the library's own products are not checked again
+    assert len([k for k in checked if k > 2]) <= 2
+
+
 def test_parastat_degenerations_match_single_block_identities():
     # m = 0 is the parafermionic statement, n = 0 the parabosonic one
     assert verify_parastat_identity(2, 0, 1, 6).passed

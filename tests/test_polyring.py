@@ -236,6 +236,24 @@ def test_series_times_negative_exponent_raises():
             op()
 
 
+def test_series_product_checks_only_the_lifted_operand(monkeypatch):
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    big = TruncatedSeries(sum((x ** i * y ** j for i in range(6) for j in range(6 - i)),
+                              MultiPoly.zero(2)), 5)
+    assert len(big.poly) >= 20
+    seen = []
+    real = TruncatedSeries.__init__
+
+    def spy(self, poly, valid_degree):
+        seen.append(len(poly))
+        real(self, poly, valid_degree)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", spy)
+    product = big * (1 - x * y)
+    assert product.poly.terms == pair_product(big.poly.terms, (1 - x * y).terms, 10)
+    assert seen and max(seen) <= 2
+
+
 def test_series_mixed_bounds_take_the_weaker():
     x = MultiPoly.variable(1, 0)
     a = TruncatedSeries(x + 1, 5)
