@@ -363,11 +363,10 @@ class TruncatedSeries:
                 raise ValueError(f"valid_degree must be >= 0, got {valid_degree}")
         if any(x < 0 for e in poly.terms for x in e):
             raise ValueError("series exponents must be non-negative")
-        if valid_degree == math.inf:
-            kept = dict(poly.terms)
-        else:
-            kept = {e: c for e, c in poly.terms.items() if sum(e) <= 2 * valid_degree}
-        self.poly = MultiPoly._of(poly.nvars, kept)
+        cut = 2 * valid_degree
+        self.poly = MultiPoly._of(
+            poly.nvars, {e: c for e, c in poly.terms.items() if sum(e) <= cut}
+        )
         self.valid_degree = valid_degree
 
     @classmethod
