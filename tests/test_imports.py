@@ -49,3 +49,47 @@ def test_checker_flags_unread_imports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Layers of the package, lowest first: a module may import only from a lower
+# layer.  schur and weyl share a layer, so neither imports the other.
+LAYERS = {
+    "partitions": 0,
+    "polyring": 1,
+    "schur": 2,
+    "weyl": 2,
+    "kostant": 3,
+    "cli": 4,
+    "__init__": 5,
+    "__main__": 5,
+}
+PACKAGE = sorted((ROOT / "src" / "parafock").glob("*.py"))
+
+
+def relative_imports(source: str) -> set[str]:
+    """Sibling modules that ``source`` imports with ``from .x import ...``
+    or ``from . import x``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_layer_table_covers_the_package():
+    assert {path.stem for path in PACKAGE} == set(LAYERS)
+    assert relative_imports("from .a import b\nfrom . import c\nimport d\n") == {"a", "c"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_modules_import_only_lower_layers(path):
+    rank = LAYERS[path.stem]
+    upward = {
+        name
+        for name in relative_imports(path.read_text(encoding="utf-8"))
+        if LAYERS[name] >= rank
+    }
+    assert upward == set()

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: ring axioms, truncation soundness, serialization."""
 
+import itertools
 import json
 import math
 
@@ -12,6 +13,7 @@ from parafock.polyring import (
     TruncatedSeries,
     expand_inverse_product,
 )
+from parafock.schur import _det
 
 NVARS = 2
 
@@ -311,6 +313,36 @@ def test_expand_inverse_product_validation():
     with pytest.raises(ValueError):
         expand_inverse_product([], 3)
     assert expand_inverse_product([], 3, nvars=2).poly == MultiPoly.one(2)
+
+
+# -- determinants -----------------------------------------------------------------
+
+def leibniz(mat):
+    """Oracle: sum over pi of sgn(pi) prod_i mat[i][pi(i)]."""
+    size = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = -1 if inversions % 2 else 1
+        for i, col in enumerate(perm):
+            term *= mat[i][col]
+        total += term
+    return total
+
+
+integer_matrices = st.integers(0, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices)
+def test_det_of_constant_matrices_matches_leibniz(mat):
+    # small entries make zero entries and singular matrices common
+    polys = [[MultiPoly.constant(NVARS, c) for c in row] for row in mat]
+    assert _det(polys, NVARS) == MultiPoly.constant(NVARS, leibniz(mat))
 
 
 # -- serialization ------------------------------------------------------------

@@ -343,6 +343,26 @@ def test_straighten_matches_the_alternant(coords):
         assert d == alternant(Weight(nu)) * sign
 
 
+def group_sum_alternant(chi):
+    """Oracle: sum over every group element w of epsilon(w) x^(-w(chi))."""
+    out = MultiPoly.zero(chi.n)
+    for sigma in all_group_elements(chi.n):
+        out = out + weight_monomial(sigma.apply(chi)) * sigma.epsilon()
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(half_unit_weights)
+def test_alternant_matches_the_group_sum(coords):
+    # singular weights (a zero or two equal absolute values) included
+    chi = Weight(coords)
+    assert alternant(chi) == group_sum_alternant(chi)
+
+
+def test_alternant_matches_the_group_sum_at_rank_zero():
+    assert alternant(Weight(())) == group_sum_alternant(Weight(())) == MultiPoly.one(0)
+
+
 def test_straighten_frozen_values():
     assert _straighten((5, 3, 1)) == (1, (5, 3, 1))
     assert _straighten((3, 5, 1)) == (-1, (5, 3, 1))
@@ -369,6 +389,27 @@ def test_type_a_straighten_matches_the_alternant(v):
         assert list(nu) == sorted(nu, reverse=True) and all(x > 0 for x in nu)
         shifted = [Partition(nu).part(i) + len(v) - 1 - i for i in range(len(v))]
         assert a == _sn_alternant(shifted, ctx) * sign
+
+
+def permutation_sum_alternant(v, ctx):
+    """Oracle: sum over pi in S_n of sgn(pi) x_pi(1)^(v_1) ... x_pi(n)^(v_n)."""
+    out = {}
+    for perm in permutations(range(ctx.n)):
+        e = [0] * ctx.nvars
+        for col, x in zip(perm, v):
+            e[col] = 2 * x
+        e = tuple(e)
+        out[e] = out.get(e, 0) + inversion_parity(perm)
+    return MultiPoly(ctx.nvars, out)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_sn_alternant_matches_the_permutation_sum(m):
+    # every v in {0..3}^n, repeated entries included
+    for n in range(5):
+        ctx = SchurContext(n, m)
+        for v in product(range(4), repeat=n):
+            assert _sn_alternant(list(v), ctx) == permutation_sum_alternant(v, ctx), v
 
 
 def test_type_a_straighten_frozen_values():
