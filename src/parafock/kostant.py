@@ -55,7 +55,7 @@ from .partitions import (
     enumeration_key,
     hook_condition,
 )
-from .polyring import MultiPoly, TruncatedSeries, expand_inverse_product, _term_key
+from .polyring import MultiPoly, TruncatedSeries, _degree_bound, _term_key, expand_inverse_product
 from .schur import SchurContext, _schur_expansion, schur_sum
 from .weyl import (
     ALTERNANT_RANK_LIMIT,
@@ -413,9 +413,7 @@ def verify_paraboson_identity(
     if denominator not in ("printed", "symmetric"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
     t0 = time.perf_counter()
-    D = int(valid_degree)
-    if D < 0:
-        raise ValueError(f"degree bound must be >= 0, got {valid_degree}")
+    D = _degree_bound(valid_degree)
     # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < n - p give a
     # nonzero Schur polynomial in n variables: the (n-p) x (n-p) square.
     table = cohomology_via_partitions(max(n - p, 1), p)
@@ -539,9 +537,7 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
     t0 = time.perf_counter()
-    D = int(valid_degree)
-    if D < 0:
-        raise ValueError(f"degree bound must be >= 0, got {valid_degree}")
+    D = _degree_bound(valid_degree)
     ctx = SchurContext(n, m)
     nv = n + m
     # An arm a adds 2a + 1 + p boxes to mu^(p), so arms above (D - 1 - p) / 2

@@ -23,7 +23,12 @@ drops every term above a degree cut (none for an exact product).  The
 public constructors check outside input: exponent lengths, non-negative
 series exponents, the degree bound.  Results the library computes itself
 are wrapped by the private ``MultiPoly._of`` and ``TruncatedSeries._of``
-and are not checked again.
+and are not checked again.  Every degree bound, of a series or of an
+identity check, is checked by ``_degree_bound``.
+
+``_det`` is the package's one determinant of a polynomial matrix: the
+Jacobi-Trudi minors, the S_n bialternant and the B_n alternant all come
+from it.
 """
 
 from __future__ import annotations
@@ -46,6 +51,19 @@ def _term_key(e: tuple[int, ...]):
 
 def _fmt_half(d: int) -> str:
     return str(d // 2) if d % 2 == 0 else f"{d}/2"
+
+
+def _degree_bound(bound, infinite: bool = False):
+    """A total-degree bound as a non-negative int, or ``math.inf`` where
+    ``infinite`` allows it; ValueError for a NaN, infinite, negative or
+    fractional bound otherwise."""
+    if infinite and bound == math.inf:
+        return bound
+    # NaN is the only value unequal to itself
+    if bound != bound or bound in (math.inf, -math.inf) or bound < 0 or bound != int(bound):
+        allowed = "a non-negative integer" + (" or math.inf" if infinite else "")
+        raise ValueError(f"degree bound must be {allowed}, got {bound!r}")
+    return int(bound)
 
 
 def _mul_terms(a: dict, b: dict, cut=math.inf) -> dict:
@@ -342,6 +360,33 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self})"
 
 
+def _det(mat: list[list[MultiPoly]], nvars: int) -> MultiPoly:
+    """Determinant of a square matrix of polynomials, by Laplace expansion
+    along the rows; the minor on each set of remaining columns is memoized."""
+    size = len(mat)
+    memo: dict[tuple[int, ...], MultiPoly] = {(): MultiPoly.one(nvars)}
+
+    def minor(cols: tuple[int, ...]) -> MultiPoly:
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        row = mat[size - len(cols)]
+        terms: dict[tuple[int, ...], int] = {}
+        for idx, col in enumerate(cols):
+            if row[col]:
+                sign = -1 if idx % 2 else 1
+                for e, c in (row[col] * minor(cols[:idx] + cols[idx + 1:])).terms.items():
+                    s = terms.get(e, 0) + sign * c
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+        memo[cols] = got = MultiPoly._of(nvars, terms)
+        return got
+
+    return minor(tuple(range(size)))
+
+
 class TruncatedSeries:
     """A polynomial trusted through a total-degree bound.
 
@@ -357,10 +402,7 @@ class TruncatedSeries:
     __slots__ = ("poly", "valid_degree")
 
     def __init__(self, poly: MultiPoly, valid_degree):
-        if valid_degree != math.inf:
-            valid_degree = int(valid_degree)
-            if valid_degree < 0:
-                raise ValueError(f"valid_degree must be >= 0, got {valid_degree}")
+        valid_degree = _degree_bound(valid_degree, infinite=True)
         if any(x < 0 for e in poly.terms for x in e):
             raise ValueError("series exponents must be non-negative")
         cut = 2 * valid_degree
@@ -450,8 +492,7 @@ def expand_inverse_product(
     total degree; each contributes a geometric series, multiplied out with
     truncation.
     """
-    if valid_degree == math.inf:
-        raise ValueError("expand_inverse_product needs a finite degree bound")
+    valid_degree = _degree_bound(valid_degree)
     if not factors:
         if nvars is None:
             raise ValueError("empty factor list needs an explicit nvars")

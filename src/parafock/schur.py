@@ -15,9 +15,9 @@ Four engines compute s_lambda:
   and additions,
 * ``jt``  - Jacobi-Trudi determinant in complete homogeneous polynomials
   (the independent oracle the fast path is tested against),
-* ``alt`` - bialternant: quotient of two antisymmetrized monomial sums,
-  computed by exact polynomial division (cost grows like n!, intended as a
-  cross-check for small n),
+* ``alt`` - bialternant: quotient of two determinants
+  det(x_j^(lambda_i+n-i)) / det(x_j^(n-i)), computed by exact polynomial
+  division (cost grows like n!, intended as a cross-check for small n),
 * ``tab`` - monomial sum over semistandard tableaux.
 
 Hook Schur polynomials come either from the same branching recursion run
@@ -26,8 +26,8 @@ removes a vertical strip, hs_lambda(x; y_1..y_j) = sum over nu of
 hs_nu(x; y_1..y_{j-1}) y_j^{|lambda/nu|} with lambda/nu a vertical strip;
 Macdonald I.5, Berele & Regev 1987) or from super-semistandard tableaux
 (``tab``).  hs_lambda vanishes exactly when the diagram does not fit in the
-(n|m) hook.  Jacobi-Trudi determinants serve only the ``jt`` oracle and
-``skew_schur``.
+(n|m) hook.  Determinants, all taken by ``polyring._det``, serve only the
+``jt`` and ``alt`` oracles and ``skew_schur``.
 
 All ``tab`` engines (plain, skew and hook) share one super-tableau
 enumerator; with no odd letters (m = 0) its tableaux are the ordinary
@@ -49,7 +49,7 @@ from .partitions import (
     enumerate_partitions,
     hook_condition,
 )
-from .polyring import MultiPoly, TruncatedSeries
+from .polyring import MultiPoly, TruncatedSeries, _det
 
 __all__ = [
     "SchurContext",
@@ -144,41 +144,11 @@ class SchurContext:
         return f"SchurContext(n={self.n}, m={self.m})"
 
 
-def _det(mat: list[list[MultiPoly]], nvars: int) -> MultiPoly:
-    """Determinant of a square matrix of polynomials, minors memoized."""
-    size = len(mat)
-    if size == 0:
-        return MultiPoly.one(nvars)
-    memo: dict[tuple[int, ...], MultiPoly] = {}
-
-    def minor(cols: tuple[int, ...]) -> MultiPoly:
-        row = size - len(cols)
-        if not cols:
-            return MultiPoly.one(nvars)
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        acc = MultiPoly.zero(nvars)
-        for idx, col in enumerate(cols):
-            entry = mat[row][col]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1:])
-            term = entry * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(size)))
-
-
 def _jt_det(
     outer: Partition, inner: Partition, h: Callable[[int], MultiPoly], nvars: int
 ) -> MultiPoly:
     """Jacobi-Trudi determinant det h(outer_i - inner_j - i + j)."""
     size = len(outer)
-    if size == 0:
-        return MultiPoly.one(nvars)
     mat = [
         [h(outer[i] - inner.part(j) - i + j) for j in range(size)]
         for i in range(size)
@@ -187,32 +157,13 @@ def _jt_det(
 
 
 def _sn_alternant(exponents: list[int], ctx: SchurContext) -> MultiPoly:
-    """Antisymmetrized monomial det ||x_j^(e_i)|| over the even block."""
-    n = ctx.n
-    terms: dict[tuple[int, ...], int] = {}
-
-    def place(remaining: list[int], cols: list[int], sign: int):
-        if not remaining:
-            e = [0] * ctx.nvars
-            for col, ex in zip(cols, exponents):
-                e[col] = 2 * ex
-            e = tuple(e)
-            s = terms.get(e, 0) + sign
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-            return
-        # expand over which column receives the next exponent
-        for idx, col in enumerate(remaining):
-            place(
-                remaining[:idx] + remaining[idx + 1:],
-                cols + [col],
-                sign if idx % 2 == 0 else -sign,
-            )
-
-    place(list(range(n)), [], 1)
-    return MultiPoly._of(ctx.nvars, terms)
+    """S_n alternant det(x_j^(e_i)) over the even block."""
+    nv = ctx.nvars
+    mat = [
+        [MultiPoly._of(nv, {(0,) * j + (2 * x,) + (0,) * (nv - j - 1): 1}) for j in range(ctx.n)]
+        for x in exponents
+    ]
+    return _det(mat, nv)
 
 
 def _iter_super_contents(

@@ -802,6 +802,15 @@ def test_parastat_checks_only_its_starting_sums(monkeypatch):
     assert len([k for k in checked if k > 2]) <= 2
 
 
+@pytest.mark.parametrize("bound", [2.9, 3.7, -1, math.inf, math.nan])
+def test_verifiers_reject_bad_degree_bounds(bound):
+    # a fractional bound was truncated and an infinite one overflowed
+    with pytest.raises(ValueError, match="degree bound"):
+        verify_paraboson_identity(2, 1, bound)
+    with pytest.raises(ValueError, match="degree bound"):
+        verify_parastat_identity(1, 1, 1, bound)
+
+
 def test_parastat_degenerations_match_single_block_identities():
     # m = 0 is the parafermionic statement, n = 0 the parabosonic one
     assert verify_parastat_identity(2, 0, 1, 6).passed

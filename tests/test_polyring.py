@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from parafock.polyring import (
     MultiPoly,
     TruncatedSeries,
+    _det,
     expand_inverse_product,
 )
-from parafock.schur import _det
 
 NVARS = 2
 
@@ -178,6 +178,22 @@ def test_series_drops_terms_beyond_bound():
     assert s.valid_degree == 3
     with pytest.raises(ValueError):
         TruncatedSeries(MultiPoly.half_term(1, (-1,)), 3)
+
+
+def test_series_degree_bound_must_be_a_non_negative_integer_or_infinite():
+    x = MultiPoly.variable(1, 0)
+    for bound in (2.5, -1, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="degree bound"):
+            TruncatedSeries(x, bound)
+        with pytest.raises(ValueError, match="degree bound"):
+            expand_inverse_product([1 - x], bound)
+    with pytest.raises(ValueError, match="degree bound"):
+        expand_inverse_product([1 - x], math.inf)
+    # an integral float is an integer bound
+    assert type(TruncatedSeries(x, 3.0).valid_degree) is int
+    assert TruncatedSeries(x, 3.0) == TruncatedSeries(x, 3)
+    assert TruncatedSeries(x ** 9, math.inf).valid_degree == math.inf
+    assert expand_inverse_product([1 - x], 2.0).poly == 1 + x + x ** 2
 
 
 @settings(max_examples=60)

@@ -122,6 +122,13 @@ def test_schur_sum_validation():
         schur_sum(("max_columns", -1), SchurContext(2), math.inf)
 
 
+
+def test_schur_sum_rejects_fractional_degree_bounds():
+    for constraint in (("hook", 1), ("max_columns", 1), ("max_rows", 1)):
+        with pytest.raises(ValueError, match="degree bound"):
+            schur_sum(constraint, SchurContext(1, 1 if constraint[0] == "hook" else 0), 2.5)
+    assert schur_sum(("hook", 1), SchurContext(1, 1), 2).valid_degree == 2
+
 # -- cross-engine agreement -------------------------------------------------------
 
 def test_three_engines_agree():

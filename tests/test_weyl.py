@@ -359,6 +359,19 @@ def test_alternant_matches_the_group_sum(coords):
     assert alternant(chi) == group_sum_alternant(chi)
 
 
+def test_alternant_builds_no_signed_permutation(monkeypatch):
+    built = []
+
+    class Counted(SignedPermutation):
+        def __init__(self, word, signs):
+            built.append(word)
+            super().__init__(word, signs)
+
+    monkeypatch.setattr(weyl, "SignedPermutation", Counted)
+    assert len(alternant(Weight.rho(4))) == 2 ** 4 * 24
+    assert built == []
+
+
 def test_alternant_matches_the_group_sum_at_rank_zero():
     assert alternant(Weight(())) == group_sum_alternant(Weight(())) == MultiPoly.one(0)
 
