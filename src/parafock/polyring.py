@@ -60,7 +60,7 @@ def _degree_bound(bound, infinite: bool = False):
     if infinite and bound == math.inf:
         return bound
     # NaN is the only value unequal to itself
-    if bound != bound or bound in (math.inf, -math.inf) or bound < 0 or bound != int(bound):
+    if bound != bound or bound == math.inf or bound < 0 or bound != int(bound):
         allowed = "a non-negative integer" + (" or math.inf" if infinite else "")
         raise ValueError(f"degree bound must be {allowed}, got {bound!r}")
     return int(bound)

@@ -804,7 +804,7 @@ def test_parastat_checks_only_its_starting_sums(monkeypatch):
 
 @pytest.mark.parametrize("bound", [2.9, 3.7, -1, math.inf, math.nan])
 def test_verifiers_reject_bad_degree_bounds(bound):
-    # a fractional bound was truncated and an infinite one overflowed
+    # neither truncates a fractional bound nor overflows on an infinite one
     with pytest.raises(ValueError, match="degree bound"):
         verify_paraboson_identity(2, 1, bound)
     with pytest.raises(ValueError, match="degree bound"):
