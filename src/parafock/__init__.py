@@ -11,7 +11,6 @@ from .partitions import (
     FrobeniusForm,
     Partition,
     augment_arms,
-    conjugate,
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
     frobenius_compose,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Partition",
     "FrobeniusForm",
-    "conjugate",
     "frobenius_decompose",
     "frobenius_compose",
     "augment_arms",

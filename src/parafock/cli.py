@@ -89,27 +89,21 @@ def _print_poly(poly, fmt: str) -> None:
 
 
 def _check_rank_limit(args, *values) -> None:
-    limit = ALTERNANT_RANK_LIMIT
-    if getattr(args, "force", False):
+    if args.force:
         return
     for v in values:
-        if v is not None and v > limit:
+        if v is not None and v > ALTERNANT_RANK_LIMIT:
             raise ValueError(
-                f"rank {v} exceeds the safety limit {limit}; pass --force to override"
+                f"rank {v} exceeds the safety limit {ALTERNANT_RANK_LIMIT}; "
+                "pass --force to override"
             )
 
 
-def _cmd_schur(args) -> int:
+def _cmd_poly(args) -> int:
+    """The schur and hook-schur commands; ``args.engine`` is the function."""
     lam = _parse_partition(args.lam)
     ctx = SchurContext(args.n, args.m)
-    _print_poly(schur(lam, ctx, args.algorithm), args.format)
-    return 0
-
-
-def _cmd_hook_schur(args) -> int:
-    lam = _parse_partition(args.lam)
-    ctx = SchurContext(args.n, args.m)
-    _print_poly(hook_schur(lam, ctx, args.algorithm), args.format)
+    _print_poly(args.engine(lam, ctx, args.algorithm), args.format)
     return 0
 
 
@@ -212,6 +206,8 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"{name} must be >= 0")
     if identity in ("parafermion", "paraboson", "weyl-character") and min(ns) < 1:
         raise ValueError("--n must be >= 1")
+    if identity in DEFAULT_DEGREES:
+        D = _default_degree(identity, args)
 
     reports = []
     for n in ns:
@@ -222,14 +218,12 @@ def _cmd_verify(args) -> int:
                 elif identity == "weyl-character":
                     reports.append(verify_weyl_character(n, p, max_rank=n))
                 elif identity == "paraboson":
-                    D = _default_degree(identity, args)
                     reports.append(verify_paraboson_identity(n, p, D, "printed"))
                     if args.alt_denominator:
                         reports.append(
                             verify_paraboson_identity(n, p, D, "symmetric")
                         )
                 elif identity == "parastat":
-                    D = _default_degree(identity, args)
                     reports.append(verify_parastat_identity(n, m, p, D))
     failed = any(not r.passed for r in reports)
     objs = [r.to_json_obj() for r in reports]
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_format(sp)
-    sp.set_defaults(func=_cmd_schur)
+    sp.set_defaults(func=_cmd_poly, engine=schur)
 
     sp = sub.add_parser("hook-schur", help="hook (supersymmetric) Schur polynomial")
     sp.add_argument("--lambda", dest="lam", default="", help="partition, e.g. 2,1")
@@ -292,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="branching rule (br) or super-tableau sum (tab)",
     )
     add_format(sp)
-    sp.set_defaults(func=_cmd_hook_schur)
+    sp.set_defaults(func=_cmd_poly, engine=hook_schur)
 
     sp = sub.add_parser("w1", help="minimal-length coset representatives")
     sp.add_argument("--n", type=int, required=True, help="rank")

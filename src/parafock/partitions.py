@@ -24,7 +24,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "Partition",
     "FrobeniusForm",
-    "conjugate",
     "frobenius_decompose",
     "frobenius_compose",
     "augment_arms",
@@ -137,10 +136,6 @@ class FrobeniusForm:
         return cls(tuple(obj["arms"]), tuple(obj["legs"]))
 
 
-def conjugate(lam: Partition) -> Partition:
-    return as_partition(lam).conjugate()
-
-
 def as_partition(lam) -> Partition:
     """Coerce an iterable of parts (or a Partition) to a Partition."""
     return lam if isinstance(lam, Partition) else Partition(lam)
@@ -228,8 +223,6 @@ def _partitions_of(d: int, max_part: int, max_length: int) -> Iterator[tuple[int
     """Partitions of d, parts <= max_part, at most max_length rows, descending lex."""
     if d == 0:
         yield ()
-        return
-    if max_length <= 0 or max_part <= 0:
         return
     for first in range(min(d, max_part), 0, -1):
         if d - first > first * (max_length - 1):

@@ -180,7 +180,10 @@ class MultiPoly:
 
     def coefficient(self, exponents: Iterable[int]) -> int:
         """Coefficient at whole-integer exponents."""
-        return self.terms.get(tuple(2 * int(x) for x in exponents), 0)
+        e = tuple(int(x) for x in exponents)
+        if len(e) != self.nvars:
+            raise ValueError(f"exponent vector {e} has length {len(e)}, expected {self.nvars}")
+        return self.terms.get(tuple(2 * x for x in e), 0)
 
     def component2(self, d2: int) -> "MultiPoly":
         """Homogeneous component of total degree d2/2."""
@@ -279,7 +282,7 @@ class MultiPoly:
         only well founded on the polynomial cone).
         """
         divisor = self._coerce(divisor)
-        if divisor is None or not isinstance(divisor, MultiPoly):
+        if divisor is None:
             raise ValueError("divisor must be a MultiPoly")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")

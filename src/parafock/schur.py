@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement, groupby, product
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .partitions import (
     Partition,
@@ -49,7 +49,7 @@ from .partitions import (
     enumerate_partitions,
     hook_condition,
 )
-from .polyring import MultiPoly, TruncatedSeries, _det
+from .polyring import MultiPoly, TruncatedSeries, _degree_bound, _det
 
 __all__ = [
     "SchurContext",
@@ -144,16 +144,15 @@ class SchurContext:
         return f"SchurContext(n={self.n}, m={self.m})"
 
 
-def _jt_det(
-    outer: Partition, inner: Partition, h: Callable[[int], MultiPoly], nvars: int
-) -> MultiPoly:
-    """Jacobi-Trudi determinant det h(outer_i - inner_j - i + j)."""
+def _jt_det(outer: Partition, inner: Partition, ctx: SchurContext) -> MultiPoly:
+    """Jacobi-Trudi determinant det h(outer_i - inner_j - i + j), the h taken
+    over the even block of ``ctx``."""
     size = len(outer)
     mat = [
-        [h(outer[i] - inner.part(j) - i + j) for j in range(size)]
+        [ctx.h(outer[i] - inner.part(j) - i + j) for j in range(size)]
         for i in range(size)
     ]
-    return _det(mat, nvars)
+    return _det(mat, ctx.nvars)
 
 
 def _sn_alternant(exponents: list[int], ctx: SchurContext) -> MultiPoly:
@@ -221,13 +220,12 @@ def schur(lam, ctx: SchurContext, algorithm: str = "gt") -> MultiPoly:
     lam = as_partition(lam)
     if algorithm == "gt":
         return MultiPoly._of(ctx.nvars, dict(ctx._gt(lam.parts, ctx.n)))
+    # Neither determinant engine sees a diagram longer than the even block.
+    if algorithm in ("jt", "alt") and len(lam) > ctx.n:
+        return MultiPoly.zero(ctx.nvars)
     if algorithm == "jt":
-        if len(lam) > ctx.n:
-            return MultiPoly.zero(ctx.nvars)
-        return _jt_det(lam, Partition(), lambda k: ctx.h(k, "even"), ctx.nvars)
+        return _jt_det(lam, Partition(), ctx)
     if algorithm == "alt":
-        if len(lam) > ctx.n:
-            return MultiPoly.zero(ctx.nvars)
         delta = [ctx.n - 1 - i for i in range(ctx.n)]
         shifted = [lam.part(i) + d for i, d in enumerate(delta)]
         numerator = _sn_alternant(shifted, ctx)
@@ -244,7 +242,7 @@ def skew_schur(lam, mu, ctx: SchurContext, algorithm: str = "jt") -> MultiPoly:
     if not lam.contains(mu):
         raise ValueError(f"{mu!r} is not contained in {lam!r}")
     if algorithm == "jt":
-        return _jt_det(lam, mu, lambda k: ctx.h(k, "even"), ctx.nvars)
+        return _jt_det(lam, mu, ctx)
     if algorithm == "tab":
         return _content_sum(_iter_super_contents(lam, ctx.n, 0, mu), ctx.nvars)
     raise ValueError(f"unknown algorithm {algorithm!r} (expected jt or tab)")
@@ -291,6 +289,7 @@ def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> T
     * ``("hook", p)``: hook Schur sum over all lambda with at most p
       columns (finite degree bound required).
     """
+    valid_degree = _degree_bound(valid_degree, infinite=True)
     kind, p = constraint
     p = int(p)
     if p < 0:
@@ -302,9 +301,9 @@ def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> T
     elif valid_degree == math.inf:
         raise ValueError(f"constraint {kind!r} needs a finite degree bound")
     elif kind == "max_rows":
-        family = enumerate_partitions(max_length=min(p, ctx.n), max_size=int(valid_degree))
+        family = enumerate_partitions(max_length=min(p, ctx.n), max_size=valid_degree)
     elif kind == "hook":
-        family = enumerate_partitions(max_part=p, max_size=int(valid_degree))
+        family = enumerate_partitions(max_part=p, max_size=valid_degree)
         family = (lam for lam in family if hook_condition(lam, ctx.n, ctx.m))
     else:
         raise ValueError(f"unknown constraint kind {kind!r}")

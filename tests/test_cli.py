@@ -332,6 +332,11 @@ def test_verify_degree_resolution(capsys, monkeypatch):
     monkeypatch.setenv(DEGREE_ENV, "junk")
     code, _, err = run(capsys, "verify", "--identity", "paraboson", "--n", "1", "--p", "1")
     assert code == 2 and "must be an integer" in err
+    monkeypatch.setenv(DEGREE_ENV, "-2")
+    code, out, err = run(
+        capsys, "verify", "--identity", "parastat", "--n", "1", "--m", "1", "--p", "1"
+    )
+    assert code == 2 and out == "" and f"{DEGREE_ENV} must be >= 0, got -2" in err
 
 
 def test_verify_default_degrees(capsys, monkeypatch):
@@ -389,6 +394,11 @@ def test_computation_errors_exit_two(capsys):
     assert code == 2 and "--n must be >= 1" in err
     code, _, err = run(capsys, "verify", "--identity", "parafermion", "--n", "3..1", "--p", "1")
     assert code == 2 and "empty range" in err
+    for n, p, flag in (("-1", "1", "--n"), ("1", "-1", "--p")):
+        code, out, err = run(
+            capsys, "verify", "--identity", "parastat", "--n", n, "--m", "1", "--p", p
+        )
+        assert code == 2 and out == "" and f"{flag} must be >= 0" in err
     code, out, err = run(capsys, "w1", "--n", "0")
     assert code == 2 and out == "" and "n must be >= 1" in err
     code, out, err = run(capsys, "dims", "--n", "-1", "--p", "1")

@@ -7,9 +7,12 @@ covers what ``__init__.py`` re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import parafock
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -93,3 +96,17 @@ def test_modules_import_only_lower_layers(path):
         if LAYERS[name] >= rank
     }
     assert upward == set()
+
+
+# Names a module lists in ``__all__`` that the package does not re-export.
+NOT_REEXPORTED = {"ALTERNANT_RANK_LIMIT", "enumeration_key"}
+
+
+def test_package_exports_the_modules_public_names():
+    # ``parafock.schur`` is the function, so the modules load by name
+    listed = set()
+    for name in ("partitions", "polyring", "schur", "weyl", "kostant"):
+        listed.update(importlib.import_module(f"parafock.{name}").__all__)
+    assert sorted(parafock.__all__) == sorted(listed - NOT_REEXPORTED)
+    for name in parafock.__all__:
+        assert hasattr(parafock, name), name

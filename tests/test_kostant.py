@@ -85,6 +85,8 @@ def test_validation():
         cohomology_via_partitions(2, -1)
     with pytest.raises(ValueError):
         resolution_character(2, 1, 9, 4)
+    with pytest.raises(ValueError, match="p must be >= 0, got -1"):
+        verify_parastat_identity(1, 1, -1, 4)
 
 
 # -- structural invariants ----------------------------------------------------------

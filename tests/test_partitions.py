@@ -142,6 +142,21 @@ def test_augment_rejects_non_self_conjugate():
         augment_arms(Partition([3, 1]), 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: augment_arms(Partition([1]), -1),
+        lambda: enumerate_self_conjugate_in_square(0),
+        lambda: list(enumerate_partitions(max_part=-1, max_length=2)),
+        lambda: hook_condition(Partition([1]), -1, 0),
+    ],
+    ids=["augment_arms", "self_conjugate_in_square", "enumerate_partitions", "hook_condition"],
+)
+def test_negative_bounds_raise(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
+
+
 def test_enumerate_rejects_fully_unbounded():
     with pytest.raises(ValueError):
         list(enumerate_partitions())

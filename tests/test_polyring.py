@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,46 @@ def test_validation_errors():
         MultiPoly.one(2) + MultiPoly.one(3)
     with pytest.raises(ValueError):
         MultiPoly.one(2) ** -1
+    with pytest.raises(ValueError, match="nvars must be non-negative"):
+        MultiPoly(-1)
+    with pytest.raises(ValueError, match="not a permutation"):
+        MultiPoly.variable(2, 0).permute_variables((0, 0))
+    with pytest.raises(ValueError, match="divisor must be a MultiPoly"):
+        MultiPoly.one(1).exact_div("x")
+
+
+def test_coefficient_rejects_a_wrong_length_exponent_vector():
+    x = MultiPoly.variable(2, 0)
+    assert x.coefficient([1, 0]) == 1 and x.coefficient([0, 1]) == 0
+    for exponents in ([1], [1, 0, 0]):
+        with pytest.raises(ValueError, match="has length"):
+            x.coefficient(exponents)
+
+
+def test_comparison_with_an_int_lifts_it_to_a_constant():
+    assert MultiPoly.constant(2, 3) == 3
+    assert MultiPoly.zero(2) == 0
+    assert MultiPoly.variable(2, 0) != 1
+    assert (MultiPoly.one(1) == "1") is False
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        operator.add,
+        operator.sub,
+        operator.mul,
+        lambda a, b: b + a,
+        lambda a, b: b - a,
+        lambda a, b: b * a,
+    ],
+    ids=["add", "sub", "mul", "radd", "rsub", "rmul"],
+)
+def test_arithmetic_with_a_string_raises_type_error(op):
+    x = MultiPoly.variable(1, 0)
+    for a in (x, TruncatedSeries(x, 3)):
+        with pytest.raises(TypeError):
+            op(a, "x")
 
 
 # -- ring axioms --------------------------------------------------------------
@@ -284,6 +325,9 @@ def test_series_mixed_bounds_take_the_weaker():
     lifted = a * 2 + 1
     assert lifted.valid_degree == 5
     assert lifted.poly == 2 * x + 3
+    assert (a - b).valid_degree == 2
+    assert (a - b).poly == x + 1 - x * x
+    assert (a - 1).poly == x
 
 
 def test_expand_inverse_product_geometric():
@@ -328,6 +372,10 @@ def test_expand_inverse_product_validation():
         expand_inverse_product([2 * one - x], 3)
     with pytest.raises(ValueError):
         expand_inverse_product([], 3)
+    with pytest.raises(ValueError, match="positive total degree"):
+        expand_inverse_product([one - MultiPoly.half_term(1, (-2,))], 3)
+    with pytest.raises(ValueError, match="share one variable set"):
+        expand_inverse_product([one - x, MultiPoly.one(2) - MultiPoly.variable(2, 0)], 3)
     assert expand_inverse_product([], 3, nvars=2).poly == MultiPoly.one(2)
 
 

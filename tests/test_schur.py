@@ -1,5 +1,6 @@
 """Schur engines: frozen values, cross-engine agreement, classical oracles."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -107,6 +108,11 @@ def test_algorithm_and_shape_validation():
         hook_schur(Partition([1]), ctx, algorithm="nope")
     with pytest.raises(ValueError):
         SchurContext(-1)
+    with pytest.raises(ValueError, match="expected jt or tab"):
+        skew_schur(Partition([1]), Partition(), ctx, algorithm="gt")
+    assert SchurContext(1, 2).block("odd") == range(1, 3)
+    with pytest.raises(ValueError, match="unknown block"):
+        ctx.block("middle")
 
 
 def test_schur_sum_validation():
@@ -128,6 +134,22 @@ def test_schur_sum_rejects_fractional_degree_bounds():
         with pytest.raises(ValueError, match="degree bound"):
             schur_sum(constraint, SchurContext(1, 1 if constraint[0] == "hook" else 0), 2.5)
     assert schur_sum(("hook", 1), SchurContext(1, 1), 2).valid_degree == 2
+
+
+@pytest.mark.parametrize("bound", [math.nan, -1, 2.5])
+@pytest.mark.parametrize("kind", ["hook", "max_columns", "max_rows"])
+def test_schur_sum_checks_its_degree_bound_first(monkeypatch, kind, bound):
+    # a bad bound raises before any diagram is enumerated
+    def enumerate_nothing(**bounds):
+        raise AssertionError(f"enumerated with {bounds}")
+
+    monkeypatch.setattr(
+        importlib.import_module("parafock.schur"), "enumerate_partitions", enumerate_nothing
+    )
+    ctx = SchurContext(1, 1 if kind == "hook" else 0)
+    with pytest.raises(ValueError, match="degree bound must be"):
+        schur_sum((kind, 1), ctx, bound)
+
 
 # -- cross-engine agreement -------------------------------------------------------
 

@@ -131,6 +131,10 @@ def test_signed_permutation_validation_and_identity():
     assert e.epsilon() == 1
     v = Weight((5, 3, 1))
     assert e.apply(v) == v
+    with pytest.raises(ValueError, match="rank mismatch"):
+        e.apply(Weight((1, 0)))
+    with pytest.raises(TypeError):
+        e * "x"
 
 
 def test_action_flips_signs_before_permuting():
