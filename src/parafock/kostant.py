@@ -44,11 +44,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .partitions import (
     Partition,
+    _FrozenRecord,
+    _Record,
     augment_arms,
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
@@ -86,13 +87,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CohomologyEntry:
+class CohomologyEntry(_FrozenRecord):
     """One summand: degree k, dominant diagram mu^(p), and its origin."""
 
-    k: int
-    diagram: Partition
-    source: tuple[int, ...] | Partition
+    __slots__ = ("k", "diagram", "source")
+
+    def __init__(self, k: int, diagram: Partition, source: tuple[int, ...] | Partition) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "source", source)
 
     def to_json_obj(self) -> dict:
         if isinstance(self.source, Partition):
@@ -102,11 +105,13 @@ class CohomologyEntry:
         return {"k": self.k, "mu": self.diagram.to_json(), "source": src}
 
 
-@dataclass
-class CohomologyTable:
-    n: int
-    p: int
-    entries: list[CohomologyEntry] = field(default_factory=list)
+class CohomologyTable(_Record):
+    __slots__ = ("n", "p", "entries")
+
+    def __init__(self, n: int, p: int, entries: list[CohomologyEntry] | None = None) -> None:
+        self.n = n
+        self.p = p
+        self.entries = [] if entries is None else entries
 
     def sort(self) -> None:
         self.entries.sort(key=lambda e: (e.k, enumeration_key(e.diagram)))
@@ -243,8 +248,7 @@ def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSerie
     return TruncatedSeries(numerator, math.inf) * universal
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one identity check.
 
     ``degree`` is None for exact comparisons and the truncation bound
@@ -254,27 +258,58 @@ class VerificationReport:
     identity.
     """
 
-    identity: str
-    n: int
-    m: int | None
-    p: int
-    degree: int | None
-    status: str
-    first_discrepancy: dict | None
-    millis: int
-    denominator: str | None = None
-    conjecture: bool = False
+    __slots__ = ("identity", "n", "m", "p", "degree", "status", "first_discrepancy",
+                 "millis", "denominator", "conjecture")
+
+    def __init__(
+        self,
+        identity: str,
+        n: int,
+        m: int | None,
+        p: int,
+        degree: int | None,
+        status: str,
+        first_discrepancy: dict | None,
+        millis: int,
+        denominator: str | None = None,
+        conjecture: bool = False,
+    ) -> None:
+        self.identity = identity
+        self.n = n
+        self.m = m
+        self.p = p
+        self.degree = degree
+        self.status = status
+        self.first_discrepancy = first_discrepancy
+        self.millis = millis
+        self.denominator = denominator
+        self.conjecture = conjecture
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_json_obj(self) -> dict:
-        out = asdict(self)
-        if self.denominator is None:
-            del out["denominator"]
-        if not self.conjecture:
-            del out["conjecture"]
+        """The report as a fresh dict that shares no mutable object with it."""
+        disc = self.first_discrepancy
+        if disc is not None:
+            # ``_first_discrepancy`` builds this dict; its one mutable value
+            # is the monomial's exponent list
+            disc = dict(disc, monomial=list(disc["monomial"]))
+        out = {
+            "identity": self.identity,
+            "n": self.n,
+            "m": self.m,
+            "p": self.p,
+            "degree": self.degree,
+            "status": self.status,
+            "first_discrepancy": disc,
+            "millis": self.millis,
+        }
+        if self.denominator is not None:
+            out["denominator"] = self.denominator
+        if self.conjecture:
+            out["conjecture"] = self.conjecture
         return out
 
 

@@ -17,9 +17,8 @@ within a size, by descending lexicographic order on the part lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
@@ -99,8 +98,54 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
 
-@dataclass(frozen=True)
-class FrobeniusForm:
+class _Record:
+    """Value semantics for a class whose fields are its ``__slots__``.
+
+    Equality compares the fields of two instances of the same class and the
+    repr names each field, as a dataclass does.  A ``_Record`` is mutable,
+    so it is unhashable; ``_FrozenRecord`` is the hashable kind.  The
+    package avoids ``dataclasses`` because importing it loads ``inspect``
+    and its dependencies, which lengthens every CLI start-up.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A hashable ``_Record`` whose fields cannot change after ``__init__``,
+    which sets them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__, not by assignment
+        return type(self), self._fields()
+
+
+class FrobeniusForm(_FrozenRecord):
     """Frobenius coordinates (arms | legs) of a diagram with r diagonal boxes.
 
     ``arms[i]`` counts boxes strictly right of diagonal box i, ``legs[i]``
@@ -108,14 +153,11 @@ class FrobeniusForm:
     non-negative.
     """
 
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
+    __slots__ = ("arms", "legs")
 
-    def __post_init__(self):
-        arms = tuple(int(a) for a in self.arms)
-        legs = tuple(int(b) for b in self.legs)
-        object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "legs", legs)
+    def __init__(self, arms: tuple[int, ...], legs: tuple[int, ...]) -> None:
+        arms = tuple(int(a) for a in arms)
+        legs = tuple(int(b) for b in legs)
         if len(arms) != len(legs):
             raise ValueError("arms and legs must have the same length")
         for seq, name in ((arms, "arms"), (legs, "legs")):
@@ -123,6 +165,8 @@ class FrobeniusForm:
                 raise ValueError(f"{name} must be non-negative: {seq}")
             if any(a <= b for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"{name} must be strictly decreasing: {seq}")
+        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "legs", legs)
 
     @property
     def rank(self) -> int:

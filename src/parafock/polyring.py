@@ -34,8 +34,8 @@ from it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from operator import add
-from typing import Iterable
 
 __all__ = [
     "MultiPoly",
@@ -451,6 +451,12 @@ class TruncatedSeries:
         return TruncatedSeries(
             self.poly - other.poly, min(self.valid_degree, other.valid_degree)
         )
+
+    def __rsub__(self, other) -> "TruncatedSeries":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other) -> "TruncatedSeries":
         other = self._coerce(other)

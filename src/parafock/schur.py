@@ -40,8 +40,8 @@ Every sum of c s_lambda (or c hs_lambda) goes through one accumulator,
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import combinations_with_replacement, groupby, product
-from typing import Iterator
 
 from .partitions import (
     Partition,

@@ -8,6 +8,9 @@ covers what ``__init__.py`` re-exports.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +113,29 @@ def test_package_exports_the_modules_public_names():
     assert sorted(parafock.__all__) == sorted(listed - NOT_REEXPORTED)
     for name in parafock.__all__:
         assert hasattr(parafock, name), name
+
+
+# The standard-library modules ``import parafock.cli`` may load beyond the
+# interpreter, ``argparse`` and ``json``.  Every CLI process pays for each of
+# them at start-up: ``dataclasses`` would bring ``inspect``, ``ast``, ``dis``
+# and ``tokenize``, and ``typing`` costs a few milliseconds where ``site``
+# does not preload it.
+CLI_STDLIB_IMPORTS = {"__future__", "collections.abc", "math"}
+
+PROBE = """
+import sys, argparse, json
+before = set(sys.modules)
+import parafock.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_cli_import_loads_only_the_listed_stdlib_modules():
+    # -S skips ``site``, which may preload modules and hide what the package pulls in
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(run.stdout.split())
+    assert "parafock.cli" in added
+    assert {name for name in added if name.split(".")[0] != "parafock"} == CLI_STDLIB_IMPORTS

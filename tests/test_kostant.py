@@ -1,9 +1,11 @@
 """Cohomology tables (two routes) and the exact identity verdicts."""
 
+import copy
 import functools
 import importlib
 import json
 import math
+import pickle
 from itertools import combinations
 
 import pytest
@@ -14,6 +16,7 @@ from parafock import kostant, partitions
 from parafock.kostant import (
     CohomologyEntry,
     CohomologyTable,
+    VerificationReport,
     _first_discrepancy,
     _paraboson_denominator,
     branching_character,
@@ -132,6 +135,55 @@ def test_entry_json_shapes():
     mu_entry = cohomology_via_partitions(2, 1).entries_at(2)[0]
     assert mu_entry.to_json_obj() == {"k": 2, "mu": [3, 1], "source": {"mu": [2, 1]}}
     assert CohomologyEntry(0, Partition(), ()).to_json_obj()["source"] == {"I": []}
+
+
+def test_cohomology_records_are_values():
+    entry = CohomologyEntry(0, Partition(), ())
+    assert entry == CohomologyEntry(k=0, diagram=Partition([]), source=())
+    assert entry != CohomologyEntry(0, Partition(), Partition()) and entry != (0, Partition(), ())
+    assert len({entry, CohomologyEntry(0, Partition(), ())}) == 1
+    assert repr(entry) == "CohomologyEntry(k=0, diagram=Partition([]), source=())"
+    for name in ("k", "diagram", "source"):
+        with pytest.raises(AttributeError):
+            setattr(entry, name, 1)
+    assert copy.deepcopy(entry) == entry and pickle.loads(pickle.dumps(entry)) == entry
+
+    table, other = CohomologyTable(2, 1), CohomologyTable(n=2, p=1)
+    table.entries.append(entry)
+    assert other.entries == [] and table != other
+    assert table == CohomologyTable(2, 1, [entry]) == CohomologyTable(n=2, p=1, entries=[entry])
+    assert repr(table) == f"CohomologyTable(n=2, p=1, entries=[{entry!r}])"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(table)
+
+
+def test_verification_report_is_a_mutable_value():
+    fields = ("parastat", 1, 1, 1, 4, "pass", None, 0)
+    report = VerificationReport(*fields, conjecture=True)
+    assert report == VerificationReport(
+        identity="parastat", n=1, m=1, p=1, degree=4, status="pass",
+        first_discrepancy=None, millis=0, denominator=None, conjecture=True,
+    )
+    assert report != VerificationReport(*fields)
+    assert repr(report) == (
+        "VerificationReport(identity='parastat', n=1, m=1, p=1, degree=4, status='pass', "
+        "first_discrepancy=None, millis=0, denominator=None, conjecture=True)"
+    )
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
+    report.millis = 7
+    assert report.to_json_obj()["millis"] == 7
+
+
+def test_report_json_shares_nothing_mutable_with_the_report():
+    report = verify_paraboson_identity(2, 1, 6, denominator="symmetric")
+    obj = report.to_json_obj()
+    assert obj["first_discrepancy"]["monomial"] == [0, 4]
+    expected = copy.deepcopy(obj)
+    obj["first_discrepancy"]["monomial"].append(9)
+    obj["first_discrepancy"]["lhs"] = "changed"
+    obj["status"] = "changed"
+    assert report.to_json_obj() == expected
 
 
 def _w1_table_by_images(n, p):

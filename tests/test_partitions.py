@@ -1,5 +1,8 @@
 """Partition calculus: cell-set oracles, frozen values, exhaustive roundtrips."""
 
+import copy
+import pickle
+
 import pytest
 
 from parafock.partitions import (
@@ -127,12 +130,31 @@ def test_constructor_normalizes_and_validates():
 
 
 def test_frobenius_form_validation():
-    with pytest.raises(ValueError):
-        FrobeniusForm((1, 1), (1, 0))
-    with pytest.raises(ValueError):
-        FrobeniusForm((1,), (1, 0))
-    with pytest.raises(ValueError):
-        FrobeniusForm((-1,), (0,))
+    for arms, legs, message in (
+        ((1, 1), (1, 0), "arms must be strictly decreasing: (1, 1)"),
+        ((1,), (1, 0), "arms and legs must have the same length"),
+        ((-1,), (0,), "arms must be non-negative: (-1,)"),
+        ((1,), (-1,), "legs must be non-negative: (-1,)"),
+        ((2, 1), (0, 0), "legs must be strictly decreasing: (0, 0)"),
+    ):
+        with pytest.raises(ValueError) as err:
+            FrobeniusForm(arms, legs)
+        assert str(err.value) == message
+
+
+def test_frobenius_form_is_a_frozen_value():
+    form = FrobeniusForm([2, 1.0], (1, 0))
+    assert form.arms == (2, 1) and type(form.arms[1]) is int
+    assert form == FrobeniusForm(arms=(2, 1), legs=(1, 0))
+    assert form != FrobeniusForm((2,), (0,)) and form != ((2, 1), (1, 0))
+    assert len({form, FrobeniusForm((2, 1), (1, 0))}) == 1
+    assert repr(form) == "FrobeniusForm(arms=(2, 1), legs=(1, 0))"
+    for name in ("arms", "legs"):
+        with pytest.raises(AttributeError):
+            setattr(form, name, ())
+    with pytest.raises(AttributeError):
+        del form.arms
+    assert copy.deepcopy(form) == form and pickle.loads(pickle.dumps(form)) == form
 
 
 def test_augment_rejects_non_self_conjugate():

@@ -207,7 +207,7 @@ def test_series_mixed_variable_counts_raise():
     one = TruncatedSeries(MultiPoly.variable(1, 0) + 1, 3)
     exact_one = TruncatedSeries(MultiPoly.one(1), math.inf)
     for a, b in ((two, one), (one, two), (two, MultiPoly.one(1)), (two, exact_one)):
-        for op in (lambda: a * b, lambda: a + b, lambda: a - b):
+        for op in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: b - a):
             with pytest.raises(ValueError, match="mixed variable counts"):
                 op()
 
@@ -328,6 +328,10 @@ def test_series_mixed_bounds_take_the_weaker():
     assert (a - b).valid_degree == 2
     assert (a - b).poly == x + 1 - x * x
     assert (a - 1).poly == x
+    # an int or MultiPoly on the left lifts to an exact series, so the
+    # difference keeps the series' bound and drops the terms above it
+    assert 1 - a == TruncatedSeries(-x, 5)
+    assert x ** 3 + 2 - b == TruncatedSeries(2 - x * x, 2)
 
 
 def test_expand_inverse_product_geometric():
