@@ -4,8 +4,10 @@
 Three identities (parafermionic, parabosonic, parastatistics) plus the
 Weyl-character check, which straightens D_rho times the character onto
 strictly dominant weights (Brauer's formula) and expands the alternants
-only to locate a failure.  Everything is exact integer arithmetic; a
-failing check names the first offending monomial instead of a distance.
+only to locate a failure.  The parafermionic check runs the same
+straightening, since its denominator is a shifted D_rho.  Everything is
+exact integer arithmetic; a failing check names the first offending
+monomial instead of a distance.
 """
 
 import json
@@ -27,7 +29,7 @@ def main():
     for n in (1, 2, 3):
         show(verify_weyl_character(n, p=2))
 
-    print("\nparafermionic identity (exact, in the Schur basis):")
+    print("\nparafermionic identity (exact, by Brauer straightening in the Schur basis):")
     for p in (0, 1, 2):
         show(verify_parafermion_identity(n=2, p=p))
 

@@ -23,12 +23,17 @@ Weyl-character/branching consistency check.  The left side of each of the
 three identities is the Euler-Poincare characteristic of the free
 resolution: the alternating sum over a ``cohomology_via_partitions`` table,
 each entry signed by its degree k.  The parafermionic and parabosonic
-identities are compared in the Schur basis.  Their denominator is a
-product of S_n orbits of factors, prod(1-x_i), prod_{i<j}(1-x_i x_j) and
-optionally prod(1-x_i^2); each orbit is symmetric, so its product with
-s_lambda = a_{lambda+delta} / a_delta straightens term by term onto +-s_nu
-(type A).  The orbits are applied one at a time, so a pass expands
-neither side, nor even the whole denominator, into monomials.  The
+identities are compared in the Schur basis.  The parafermionic denominator
+times a_delta is, up to a sign and a uniform shift, the B_n Weyl
+denominator D_rho, so its right side is D_rho times the shifted branching
+character, read off by Brauer's formula (type B) and each D_nu expanded
+into 2^n type-A alternants; no denominator is expanded.  The paraboson
+denominator is a product of S_n orbits of factors, prod(1-x_i),
+prod_{i<j}(1-x_i x_j) and optionally prod(1-x_i^2); each orbit is
+symmetric, so its product with s_lambda = a_{lambda+delta} / a_delta
+straightens term by term onto +-s_nu (type A).  The orbits are applied
+one at a time, each expanded only through the degree bound, so a pass
+expands neither side, nor the whole denominator, into monomials.  The
 parastatistics identity is compared by truncated integer polynomial
 arithmetic, each side taking its factors one at a time under the degree
 cap.  The Weyl-character check straightens D_rho times
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 from .partitions import (
     Partition,
@@ -56,7 +61,14 @@ from .partitions import (
     enumeration_key,
     hook_condition,
 )
-from .polyring import MultiPoly, TruncatedSeries, _degree_bound, _term_key, expand_inverse_product
+from .polyring import (
+    MultiPoly,
+    TruncatedSeries,
+    _degree_bound,
+    _mul_terms,
+    _term_key,
+    expand_inverse_product,
+)
 from .schur import SchurContext, _schur_expansion, schur_sum
 from .weyl import (
     ALTERNANT_RANK_LIMIT,
@@ -209,18 +221,26 @@ def _denominator_factors(n: int, m: int = 0) -> list[MultiPoly]:
     return fs
 
 
-def _denominator_groups(n: int, symmetric: bool) -> list[MultiPoly]:
+def _denominator_groups(n: int, symmetric: bool, degree: float = math.inf) -> list[MultiPoly]:
     """The paraboson denominator as products of its S_n orbits of factors, in
     the order ``_denominator_times`` applies them: prod(1-x_i), then
     prod_{i<j}(1-x_i x_j), then, for the symmetric variant, prod(1-x_i^2).
-    Each group is symmetric because S_n permutes its factors."""
+    Each group is symmetric because S_n permutes its factors, and stays so
+    without its terms of total degree above ``degree``, which no factor with
+    non-negative exponents can bring back down."""
     fs = _denominator_factors(n)
     one = MultiPoly.one(n)
     groups = [fs[:n], fs[n:]]
     if symmetric:
         xs = [MultiPoly.variable(n, i) for i in range(n)]
         groups.append([one - x * x for x in xs])
-    return [math.prod(g, start=one) for g in groups]
+    out = []
+    for g in groups:
+        terms = one.terms
+        for f in g:
+            terms = _mul_terms(terms, f.terms, 2 * degree)
+        out.append(MultiPoly._of(n, terms))
+    return out
 
 
 def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
@@ -404,27 +424,78 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
 
     sum over self-conjugate mu in the n x n square of
     (-1)^((|mu|+r)/2) s_{mu^(p)}  equals
-    prod(1-x_i) prod_{i<j}(1-x_i x_j) times sum_{lambda inside p^n} s_lambda.
+    L times sum_{lambda inside p^n} s_lambda, L = prod(1-x_i) prod_{i<j}(1-x_i x_j).
 
     Both sides are compared as {nu: coefficient of s_nu}, which decides the
     identity because the s_nu with at most n rows are linearly independent.
-    The left side is read off the cohomology table.  The denominator D is
-    a product of symmetric groups of factors, and each group G gives
-    G s_lambda = sum c_alpha a_{alpha+lambda+delta} / a_delta over its terms
-    c_alpha x^alpha, where each alternant straightens to +-a_{nu+delta} or 0
-    (``_denominator_times``).  For a G that is not symmetric,
-    G a_{lambda+delta} is not this sum.  Neither side is expanded into
-    monomials, D itself is never expanded, and no polynomial multiplies the
-    branching sum; a failure expands only its lowest differing degree, to
-    name the monomial.
+    The left side is read off the cohomology table, the right side by
+    Brauer's formula (``_parafermion_times``), so neither L nor either side
+    is expanded into monomials.  A branching family whose shifted character
+    is not Weyl-invariant takes ``_denominator_times`` instead; a failure
+    expands only its lowest differing degree, to name the monomial.
     """
     _validate_np(n, p)
     t0 = time.perf_counter()
     chi = _euler_characteristic(cohomology_via_partitions(n, p).entries)
     lhs = {lam.parts: c for lam, c in chi.items()}
-    family = enumerate_partitions(max_part=p, max_length=n)
-    rhs = _denominator_times(n, False, family)
+    family = list(enumerate_partitions(max_part=p, max_length=n))
+    rhs = _parafermion_times(n, p, family)
+    if rhs is None:
+        rhs = _denominator_times(n, False, family)
     return _report("parafermion", n, None, p, None, _schur_discrepancy(lhs, rhs, n), t0)
+
+
+def _parafermion_times(n: int, p: int, family) -> dict[tuple[int, ...], int] | None:
+    """L times chi = sum_{lambda in family} s_lambda in n variables, as {nu:
+    coefficient of s_nu}, by Brauer's formula; None when the shifted
+    character chi' = x^{-(p/2)1} chi is not Weyl-invariant.
+
+    By the Weyl denominator formula, each positive root a of B_n gives D_rho
+    a factor e^{a/2} - e^{-a/2} = e^{a/2}(1 - e^{-a}), and under
+    x_i = exp(-e_i), e^{-a} is x_i for a = e_i, x_i x_j for e_i + e_j and
+    x_i / x_j for e_i - e_j.  The e^{a/2} multiply to e^rho = x^{-rho}.  So
+    D_rho = x^{-rho} L prod_{i<j}(1 - x_i / x_j), and
+    prod_{i<j}(1 - x_i / x_j) = (-1)^{n(n-1)/2} a_delta x^{-(0, 1, ..., n-1)}.
+    Since rho_i + i - 1 = n - 1/2 for every i,
+
+        L a_delta = (-1)^{n(n-1)/2} x^{(n-1/2)1} D_rho,
+
+    and L chi a_delta = (-1)^{n(n-1)/2} x^{c1} D_rho chi' with
+    c = n - 1/2 + p/2.  For invariant chi', Brauer's formula gives
+    D_rho chi' = sum m_nu D_nu (``_brauer_product``), which
+    ``_shifted_alternants`` writes in the Schur basis.  chi has no negative
+    exponent, so an invariant chi' has every exponent within p/2 of 0, and
+    every nu_i <= rho_1 + p/2 = c.
+    """
+    chi = _schur_expansion(((lam, 1) for lam in family), SchurContext(n))
+    shifted = MultiPoly._of(n, {tuple(x - p for x in e): c for e, c in chi.terms.items()})
+    if not _is_weyl_invariant(shifted):
+        return None
+    return _shifted_alternants(_brauer_product(Weight.rho(n), shifted), n, 2 * n - 1 + p)
+
+
+def _shifted_alternants(
+    coeffs: dict[tuple[int, ...], int], n: int, c: int
+) -> dict[tuple[int, ...], int]:
+    """(-1)^{n(n-1)/2} x^{(c/2)1} sum coeffs[nu] D_nu / a_delta, as {lambda:
+    coefficient of s_lambda}, for strictly dominant nu with every nu_i <= c
+    (both in half units).
+
+    Row i of D_nu = det(x_j^{-nu_i} - x_j^{nu_i}) splits over s_i = +-1 into
+    s_i x_j^{-s_i nu_i}, so D_nu = sum_s prod(s) a_{-s nu} over the 2^n sign
+    vectors s, and the shift makes each term prod(s) a_{c1 - s nu}, whose
+    entries, halved out of half units, are non-negative integers.  Each straightens to
+    +-a_{lambda+delta} or 0, and dividing by a_delta gives +-s_lambda.
+    """
+    sign = (-1) ** (n * (n - 1) // 2)
+    out: dict[tuple[int, ...], int] = {}
+    for nu, m in coeffs.items():
+        for s in product((1, -1), repeat=n):
+            hit = _straighten_type_a([(c - si * x) // 2 for si, x in zip(s, nu)])
+            if hit is not None:
+                a_sign, lam = hit
+                out[lam] = out.get(lam, 0) + sign * a_sign * math.prod(s) * m
+    return {lam: x for lam, x in out.items() if x}
 
 
 def verify_paraboson_identity(
@@ -438,11 +509,11 @@ def verify_paraboson_identity(
     denominator is prod(1-x_i) prod_{i<j}(1-x_i x_j); the "symmetric"
     variant also includes the diagonal factors 1-x_i^2.
 
-    Both variants are products of symmetric groups of factors, which the
-    Schur-basis comparison of ``verify_parafermion_identity`` needs, so it
-    applies here too with the conjugate diagrams on the left.  Truncation at
-    degree D keeps exactly the s_nu with |nu| <= D, because s_nu is
-    homogeneous of degree |nu|.
+    Both variants are products of symmetric groups of factors, so
+    ``_denominator_times`` straightens their product with the branching sum
+    in the Schur basis, and the left side is the parafermionic one with
+    conjugate diagrams.  Truncation at degree D keeps exactly the s_nu with
+    |nu| <= D, because s_nu is homogeneous of degree |nu|.
     """
     _validate_np(n, p)
     if denominator not in ("printed", "symmetric"):
@@ -469,17 +540,20 @@ def _denominator_times(
     """The paraboson denominator times sum_{lambda in family} s_lambda in n
     variables, as {nu: coefficient of s_nu}, through total degree ``degree``.
 
-    The denominator is applied one group of ``_denominator_groups`` at a
-    time, and the sum stays in the Schur basis between groups.  Each group
-    G is a full S_n orbit of factors, so it is symmetric on its own, and
-    ``_symmetric_times`` multiplies it in exactly.  G_1 = prod(1-x_i) goes
-    first because it telescopes the branching sum: its alternating Pieri
-    terms largely cancel, which shrinks the sum before the much larger
-    G_2 = prod_{i<j}(1-x_i x_j) meets it (56 diagrams become 30 at n=5,
-    p=3).  Every group has only non-negative exponents, so no step lowers
-    a degree: a term with |nu| > degree can only contribute above the
-    bound, and every step drops it at once instead of carrying it to the
-    end.  The whole denominator is never expanded.
+    It serves the paraboson check, and the parafermion check when
+    ``_parafermion_times`` cannot (a family whose shifted character is not
+    Weyl-invariant).  The denominator is applied one group of
+    ``_denominator_groups`` at a time, and the sum stays in the Schur basis
+    between groups.  Each group G is a full S_n orbit of factors, so it is
+    symmetric on its own, and ``_symmetric_times`` multiplies it in exactly.
+    G_1 = prod(1-x_i) goes first because it telescopes the branching sum:
+    its alternating Pieri terms largely cancel, which shrinks the sum before
+    the much larger G_2 = prod_{i<j}(1-x_i x_j) meets it.  Every group has
+    only non-negative exponents, so no step lowers a degree: a term with
+    |nu| > degree, of a group or of the sum, can only contribute above the
+    bound, so each group is built only through the bound and every step
+    drops such a term at once instead of carrying it to the end.  The whole
+    denominator is never expanded.
     """
     cap = math.inf if degree is None else degree
     coeffs: dict[tuple[int, ...], int] = {}
@@ -487,7 +561,7 @@ def _denominator_times(
         # s_lambda vanishes in n variables when lambda has more than n rows
         if len(lam) <= n and lam.size <= cap:
             coeffs[lam.parts] = coeffs.get(lam.parts, 0) + 1
-    for group in _denominator_groups(n, symmetric):
+    for group in _denominator_groups(n, symmetric, cap):
         coeffs = _symmetric_times(group, coeffs, n, cap)
     return coeffs
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parafock import kostant, partitions
+from parafock import kostant, partitions, polyring
 from parafock.kostant import (
     CohomologyEntry,
     CohomologyTable,
@@ -37,7 +37,7 @@ from parafock.partitions import (
     frobenius_decompose,
 )
 from parafock.polyring import MultiPoly, TruncatedSeries
-from parafock.schur import SchurContext, hook_schur, schur
+from parafock.schur import SchurContext, _sn_alternant, hook_schur, schur
 from parafock.weyl import (
     ALTERNANT_RANK_LIMIT,
     RootSystemB,
@@ -504,8 +504,14 @@ def _double_last(family, kwargs):
     return family + family[-1:]
 
 
-@pytest.mark.parametrize("perturb", [_drop_last, _add_outside, _double_last],
-                         ids=["drop", "extra", "duplicate"])
+def _double_all(family, kwargs):
+    # the only perturbation here whose shifted parafermion character stays
+    # Weyl-invariant, so the only one that takes the Brauer branch
+    return family + family
+
+
+@pytest.mark.parametrize("perturb", [_drop_last, _add_outside, _double_last, _double_all],
+                         ids=["drop", "extra", "duplicate", "double"])
 @pytest.mark.parametrize(
     "case",
     [(1, 1, None, "printed"), (2, 2, None, "printed"), (3, 1, None, "printed"),
@@ -514,17 +520,26 @@ def _double_last(family, kwargs):
     ids=str,
 )
 def test_perturbed_branching_family_fails_where_the_product_does(monkeypatch, case, perturb):
-    real = kostant.enumerate_partitions
+    real, real_times = kostant.enumerate_partitions, kostant._denominator_times
+    fallbacks = []
 
     def broken(**kwargs):
         return perturb(list(real(**kwargs)), kwargs)
 
+    def spy_times(n, symmetric, family, degree=None):
+        fallbacks.append(degree)
+        return real_times(n, symmetric, family, degree)
+
     monkeypatch.setattr(kostant, "enumerate_partitions", broken)
+    monkeypatch.setattr(kostant, "_denominator_times", spy_times)
     n, p, D, den = case
     if D is None:
         rep = verify_parafermion_identity(n, p)
+        # a family that is not Weyl-invariant falls back to the denominator
+        assert fallbacks == ([] if perturb is _double_all else [None])
     else:
         rep = verify_paraboson_identity(n, p, D, den)
+        assert fallbacks == [D]
     assert rep.status == "fail"
     assert (rep.status, rep.first_discrepancy) == _identity_by_product(n, p, D, den)
 
@@ -597,6 +612,47 @@ def test_denominator_times_on_families_with_repeats(n, symmetric, degree, family
     ) == _denominator_times_single_pass(n, symmetric, family, degree)
 
 
+def test_printed_denominator_is_the_shifted_weyl_denominator():
+    # L a_delta = (-1)^{n(n-1)/2} x^{(n-1/2)1} D_rho, by expansion
+    for n in range(1, 6):
+        a_delta = _sn_alternant(list(range(n - 1, -1, -1)), SchurContext(n))
+        sign = (-1) ** (n * (n - 1) // 2)
+        shifted = {
+            tuple(x + 2 * n - 1 for x in e): sign * c
+            for e, c in alternant(Weight.rho(n)).terms.items()
+        }
+        assert _paraboson_denominator(n, symmetric=False) * a_delta == MultiPoly(n, shifted)
+
+
+def test_brauer_map_matches_the_denominator_product():
+    for n in range(1, 7):
+        for p in range(4):
+            family = list(enumerate_partitions(max_part=p, max_length=n))
+            expected = kostant._denominator_times(n, False, family)
+            assert kostant._parafermion_times(n, p, family) == expected, (n, p)
+
+
+def test_sign_patterns_of_the_top_weight_give_the_cohomology_table():
+    # Kostant's theorem, combinatorially: D_{rho+p theta} alone, expanded
+    # over its 2^n sign patterns and straightened in type A, is the Euler
+    # characteristic of the table
+    for n in range(1, 13):
+        for p in range(4):
+            top = Weight.rho(n) + Weight.p_theta(n, p)
+            got = kostant._shifted_alternants({top.coords: 1}, n, 2 * n - 1 + p)
+            euler = kostant._euler_characteristic(cohomology_via_partitions(n, p).entries)
+            assert got == {lam.parts: c for lam, c in euler.items()}, (n, p)
+
+
+def test_rank_seven_parafermion_passes_without_the_denominator(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the parafermion pass applied the denominator")
+
+    monkeypatch.setattr(kostant, "_denominator_times", unreachable)
+    monkeypatch.setattr(kostant, "_denominator_groups", unreachable)
+    assert verify_parafermion_identity(7, 2).passed
+
+
 def test_denominator_groups_are_symmetric_and_multiply_to_the_denominator():
     # straightening moves each group past an alternant, one group at a time
     for n in range(1, 6):
@@ -620,29 +676,31 @@ def test_denominator_groups_are_symmetric_and_multiply_to_the_denominator():
 
 
 def test_verifiers_never_expand_the_whole_denominator(monkeypatch):
-    sizes = []
-    real_mul = MultiPoly.__mul__
+    products = []
+    real_mul = polyring._mul_terms
 
-    def spy_mul(self, other):
-        out = real_mul(self, other)
-        sizes.append(len(out))
+    def spy_mul(a, b, cut=math.inf):
+        out = real_mul(a, b, cut)
+        products.append((len(out), max(map(sum, out), default=0)))
         return out
 
     def unreachable(n, symmetric):
         raise AssertionError("the verifier expanded the whole denominator")
 
-    monkeypatch.setattr(MultiPoly, "__mul__", spy_mul)
+    # MultiPoly and TruncatedSeries products, and the groups, all run here
+    monkeypatch.setattr(polyring, "_mul_terms", spy_mul)
+    monkeypatch.setattr(kostant, "_mul_terms", spy_mul)
     monkeypatch.setattr(kostant, "_paraboson_denominator", unreachable)
     assert verify_parafermion_identity(5, 3).passed
+    # Brauer's formula needs no group, nor any other product
+    assert products == []
     assert verify_paraboson_identity(4, 3, 10, "symmetric").status == "fail"
     monkeypatch.undo()
-    largest = max(
-        len(g)
-        for n, symmetric in ((5, False), (4, True))
-        for g in kostant._denominator_groups(n, symmetric)
-    )
-    # the groups themselves are the largest products built
-    assert max(sizes) == largest
+    # every group stops at degree D (G_2 would reach 12 at n=4) ...
+    assert products and max(d for _, d in products) <= 2 * 10
+    # ... and the cut groups themselves are the largest products built
+    largest = max(len(g) for g in kostant._denominator_groups(4, True, 10))
+    assert max(size for size, _ in products) == largest
 
 
 def test_rank_six_paraboson_verdicts():
@@ -658,7 +716,7 @@ def test_rank_six_paraboson_verdicts():
 
 def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
     schur_module = importlib.import_module("parafock.schur")
-    series_products, schur_calls = [], []
+    series_products, schur_calls, memo_reads = [], [], []
     real_mul, real_schur, real_gt = TruncatedSeries.__mul__, schur_module.schur, SchurContext._gt
 
     def spy_mul(self, other):
@@ -671,14 +729,20 @@ def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
 
     def spy_gt(self, parts, k):
         # every Schur expansion reads the branching memo
-        schur_calls.append((parts, k))
+        memo_reads.append(parts)
         return real_gt(self, parts, k)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", spy_mul)
     monkeypatch.setattr(schur_module, "schur", spy_schur)
     monkeypatch.setattr(SchurContext, "_gt", spy_gt)
     assert verify_parafermion_identity(4, 3).passed
+    # Brauer's formula expands the branching character, from diagrams in
+    # the 3^4 box alone; nothing else is expanded
+    assert memo_reads
+    assert all(len(parts) <= 4 and max(parts, default=0) <= 3 for parts in memo_reads)
+    memo_reads.clear()
     assert verify_paraboson_identity(4, 2, 10).passed
+    assert memo_reads == []
     assert series_products == []
     assert schur_calls == []
 
