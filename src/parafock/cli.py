@@ -201,8 +201,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--degree applies only to paraboson and parastat, not {identity}")
     ms = _parse_range(args.m) if args.m is not None else [None]
     _check_rank_limit(args, max(ns), max(ms) if ms != [None] else None)
-    for v, name in ((min(ns), "--n"), (min(ps), "--p")):
-        if v < 0:
+    for v, name in ((min(ns), "--n"), (min(ms), "--m"), (min(ps), "--p")):
+        if v is not None and v < 0:
             raise ValueError(f"{name} must be >= 0")
     if identity in ("parafermion", "paraboson", "weyl-character") and min(ns) < 1:
         raise ValueError("--n must be >= 1")

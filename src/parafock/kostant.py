@@ -15,7 +15,9 @@ routes produce the table, each reading every entry off its own index:
   square.  Arm i runs along row i, so mu^(p) is mu with each of its first
   r rows lengthened by p.  Since |mu| = sum(2 alpha_i + 1) = 2 sum(alpha_i)
   + r, |mu| + r is even and k = sum(alpha_i + 1), the number of boxes on
-  and right of the diagonal.
+  and right of the diagonal.  Given a bound on |mu^(p)| = sum(2 alpha_i +
+  1 + p), the enumeration opens only the arms that fit it, so a truncated
+  check builds the entries it compares and no others.
 
 On top of the tables sit exact verdicts for three Schur-polynomial
 identities (parafermionic, parabosonic, parastatistics) and for the
@@ -172,7 +174,7 @@ def cohomology_via_w1(n: int, p: int) -> CohomologyTable:
     return table
 
 
-def cohomology_via_partitions(n: int, p: int) -> CohomologyTable:
+def cohomology_via_partitions(n: int, p: int, max_size: int | None = None) -> CohomologyTable:
     """Cohomology table from self-conjugate diagrams in the n x n square.
 
     The entry of mu (Frobenius rank r) has degree k = (|mu| + r) / 2 and
@@ -180,10 +182,13 @@ def cohomology_via_partitions(n: int, p: int) -> CohomologyTable:
     p (``augment_arms``).  With arms a_i, |mu| = sum(2 a_i + 1), so |mu| + r
     is even and k = sum(a_i + 1): the boxes on and right of the diagonal,
     which is the number of roots the matching coset representative inverts.
+
+    With ``max_size`` the table holds only the entries with |mu^(p)| <=
+    max_size, in the same order as in the whole table, and builds no other.
     """
     _validate_np(n, p)
     table = CohomologyTable(n, p)
-    for mu in enumerate_self_conjugate_in_square(n):
+    for mu in enumerate_self_conjugate_in_square(n, max_size, p):
         k, rem = divmod(mu.size + mu.frobenius_rank(), 2)
         if rem:
             raise ArithmeticError(f"|mu|+r odd for self-conjugate {mu!r}; bug")
@@ -522,11 +527,12 @@ def verify_paraboson_identity(
     D = _degree_bound(valid_degree)
     # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < n - p give a
     # nonzero Schur polynomial in n variables: the (n-p) x (n-p) square.
-    table = cohomology_via_partitions(max(n - p, 1), p)
+    # Conjugation keeps |mu^(p)|, so the degree bound is the table's bound.
+    table = cohomology_via_partitions(max(n - p, 1), p, D)
     lhs = {}
     for lam, c in _euler_characteristic(table.entries).items():
         lam = lam.conjugate()
-        if len(lam) <= n and lam.size <= D:
+        if len(lam) <= n:
             lhs[lam.parts] = c
     family = enumerate_partitions(max_length=min(p, n), max_size=D)
     rhs = _denominator_times(n, denominator == "symmetric", family, D)
@@ -635,9 +641,11 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     Setting m=0 reproduces the parafermionic check, n=0 the parabosonic one
     in the odd variables.
 
-    Each side starts from its sum truncated at degree D and takes its
-    factors one at a time (1 + x_i x_j on the left; 1 - x_i, then 1 - x_i x_j
-    on the right).  No factor has a negative exponent, so dropping the terms
+    The Euler sum reads a cohomology table bounded at |mu^(p)| <= D, which
+    builds only the entries that can appear below the cap.  Each side
+    starts from its sum truncated at degree D and takes its factors one at
+    a time (1 + x_i x_j on the left; 1 - x_i, then 1 - x_i x_j on the
+    right).  No factor has a negative exponent, so dropping the terms
     above D at every step leaves the degree-D truncation of the whole
     product, and neither product of factors is ever expanded.
     """
@@ -649,12 +657,11 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     D = _degree_bound(valid_degree)
     ctx = SchurContext(n, m)
     nv = n + m
-    # An arm a adds 2a + 1 + p boxes to mu^(p), so arms above (D - 1 - p) / 2
-    # cannot fit in degree D: the ((D + 1 - p) // 2)-square holds every survivor.
-    table = cohomology_via_partitions(max((D + 1 - p) // 2, 1), p)
-    kept = [
-        e for e in table.entries if e.diagram.size <= D and hook_condition(e.diagram, n, m)
-    ]
+    # The table holds the mu with |mu^(p)| <= D.  Every arm a that fits,
+    # 2a + 1 + p <= D, lies in the ((D + 1 - p) // 2)-square, so the square
+    # cuts nothing that the budget keeps.
+    table = cohomology_via_partitions(max((D + 1 - p) // 2, 1), p, D)
+    kept = [e for e in table.entries if hook_condition(e.diagram, n, m)]
     euler = _schur_expansion(_euler_characteristic(kept).items(), ctx, hook=True)
     one = MultiPoly.one(nv)
     mixed = [

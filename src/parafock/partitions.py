@@ -8,8 +8,10 @@ equal length r (the number of diagonal boxes).
 
 Self-conjugate diagrams (arms == legs) inside the square ``(n^n)`` are in
 bijection with subsets of ``{0, ..., n-1}``: choose the arm lengths.  That
-is how ``enumerate_self_conjugate_in_square`` produces all ``2^n`` of them
-directly, without scanning the square.
+is how ``enumerate_self_conjugate_in_square`` produces them directly,
+without scanning the square: a depth-first walk over the arm sets, which
+under a size budget never opens an arm the budget cannot pay for, so it
+builds only the diagrams it returns.
 
 Enumerations are deterministic: diagrams are ordered by total size and,
 within a size, by descending lexicographic order on the part lists.
@@ -18,7 +20,6 @@ within a size, by descending lexicographic order on the part lists.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import combinations
 
 __all__ = [
     "Partition",
@@ -230,21 +231,40 @@ def enumeration_key(lam: Partition):
     return (lam.size, tuple(-p for p in lam.parts))
 
 
-def enumerate_self_conjugate_in_square(n: int) -> list[Partition]:
-    """All 2^n self-conjugate diagrams inside the n x n square.
+def enumerate_self_conjugate_in_square(
+    n: int, max_size: int | None = None, p: int = 0
+) -> list[Partition]:
+    """Self-conjugate diagrams mu inside the n x n square whose arm-augmented
+    diagram mu^(p) (``augment_arms``) has at most ``max_size`` boxes; all
+    2^n of them when ``max_size`` is None.
 
     Each strictly decreasing arm set (a_0 > ... > a_{r-1}) inside
     {0, ..., n-1} gives one diagram (arms == legs).  Its first r rows are
     a_i + i + 1; below them, row i equals column i, which meets only those
-    first r rows, since every lower row is at most r long.
+    first r rows, since every lower row is at most r long.  Arm a adds
+    2a + 1 + p boxes to mu^(p), so the walk adds arms in decreasing order
+    and opens only those that fit the remaining budget: every arm set it
+    visits is one it returns.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if p < 0:
+        raise ValueError(f"p must be non-negative, got {p}")
+    full = n * (n + p)  # every arm 0..n-1: |mu^(p)| = sum(2a + 1 + p)
+    if max_size is None:
+        max_size = full
+    elif not max_size >= 0:  # NaN fails every comparison
+        raise ValueError(f"max_size must be non-negative, got {max_size}")
     out = []
-    for r in range(n + 1):
-        for arms in combinations(range(n - 1, -1, -1), r):
-            top = tuple(a + i + 1 for i, a in enumerate(arms))
-            out.append(Partition(top + _column_lengths(top)[r:]))
+
+    def walk(top: tuple[int, ...], below: int, room: int) -> None:
+        r = len(top)
+        out.append(Partition(top + _column_lengths(top)[r:]))
+        # arms a < below with 2a + 1 + p <= room
+        for a in range(min(below, (room - 1 - p) // 2 + 1)):
+            walk(top + (a + r + 1,), a, room - 2 * a - 1 - p)
+
+    walk((), n, min(max_size, full))
     out.sort(key=enumeration_key)
     return out
 

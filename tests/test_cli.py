@@ -255,6 +255,18 @@ def test_verify_parastat_sweeps_m(capsys):
         assert obj["degree"] == 4
 
 
+def test_verify_parastat_at_degree_forty(capsys):
+    # the 20 x 20 square holds 2^20 diagrams; the check builds only the 371 that fit
+    code, out, _ = run(
+        capsys,
+        "verify", "--identity", "parastat",
+        "--n", "1", "--m", "1", "--p", "1..2", "--degree", "40", "--strict",
+    )
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [(o["p"], o["degree"], o["status"]) for o in lines] == [(1, 40, "pass"), (2, 40, "pass")]
+
+
 def test_verify_strict_alt_denominator_reports_failure(capsys):
     code, out, _ = run(
         capsys,
@@ -394,9 +406,13 @@ def test_computation_errors_exit_two(capsys):
     assert code == 2 and "--n must be >= 1" in err
     code, _, err = run(capsys, "verify", "--identity", "parafermion", "--n", "3..1", "--p", "1")
     assert code == 2 and "empty range" in err
-    for n, p, flag in (("-1", "1", "--n"), ("1", "-1", "--p")):
+    for n, m, p, flag in (
+        ("-1", "1", "1", "--n"),
+        ("1", "-1", "1", "--m"),
+        ("1", "1", "-1", "--p"),
+    ):
         code, out, err = run(
-            capsys, "verify", "--identity", "parastat", "--n", n, "--m", "1", "--p", p
+            capsys, "verify", "--identity", "parastat", "--n", n, "--m", m, "--p", p
         )
         assert code == 2 and out == "" and f"{flag} must be >= 0" in err
     code, out, err = run(capsys, "w1", "--n", "0")

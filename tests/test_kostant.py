@@ -116,6 +116,29 @@ def test_routes_agree_and_tables_are_well_formed():
                 assert e.k == sum(1 + n - i for i in e.source)
 
 
+def _bounded_by_filter(side, p, D, full=None):
+    full = cohomology_via_partitions(side, p).entries if full is None else full
+    return [e for e in full if e.diagram.size <= D]
+
+
+def test_bounded_table_is_the_filtered_whole_table():
+    # every bound from 0 to past the largest |mu^(p)| = side * (side + p)
+    for side in range(1, 9):
+        for p in range(4):
+            full = cohomology_via_partitions(side, p).entries
+            for D in range(side * (side + p) + 2):
+                table = cohomology_via_partitions(side, p, D)
+                assert (table.n, table.p) == (side, p)
+                assert table.entries == _bounded_by_filter(side, p, D, full), (side, p, D)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 3), st.data())
+def test_bounded_table_is_the_filtered_whole_table_hypothesis(side, p, data):
+    D = data.draw(st.integers(0, side * (side + p) + 1))
+    assert cohomology_via_partitions(side, p, D).entries == _bounded_by_filter(side, p, D)
+
+
 def test_source_arms_match_subset_complements():
     # partition route source mu has arms {n - i : i in I} for the w1 route's I
     n, p = 3, 2
@@ -780,19 +803,45 @@ def test_parastat_reports():
                     assert verify_parastat_identity(n, m, p, D).passed, (n, m, p, D)
 
 
-def test_parastat_enumerates_only_diagrams_that_fit_the_degree(monkeypatch):
-    enumerated = []
+def _spy_on_square_walk(monkeypatch):
+    """Every diagram the tables' self-conjugate walk returns, in one list."""
+    built = []
     real = kostant.enumerate_self_conjugate_in_square
 
-    def spy(n):
-        out = real(n)
-        enumerated.extend(out)
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.extend(out)
         return out
 
     monkeypatch.setattr(kostant, "enumerate_self_conjugate_in_square", spy)
+    return built
+
+
+def test_parastat_enumerates_only_diagrams_that_fit_the_degree(monkeypatch):
+    enumerated = _spy_on_square_walk(monkeypatch)
     assert verify_parastat_identity(1, 1, 1, 14).passed
-    # arms a with 2a + 2 <= 14: the 7 x 7 square, not the 14 x 14 one
-    assert 0 < len(enumerated) <= 2 ** 7
+    # at p = 1 an arm a adds 2a + 2 boxes: exactly the arm sets with
+    # sum(a + 1) <= 7, 19 of the 2^7 in the 7 x 7 square
+    fits = {
+        arms
+        for r in range(8)
+        for arms in combinations(range(6, -1, -1), r)
+        if sum(2 * a + 2 for a in arms) <= 14
+    }
+    assert len(fits) == 19
+    assert sorted(frobenius_decompose(mu).arms for mu in enumerated) == sorted(fits)
+    enumerated.clear()
+    # the 20 x 20 square holds 2^20 diagrams; 371 fit degree 40
+    assert verify_parastat_identity(1, 1, 1, 40).passed
+    assert len(enumerated) == 371
+
+
+def test_paraboson_builds_only_entries_that_fit_the_degree(monkeypatch):
+    built = _spy_on_square_walk(monkeypatch)
+    assert verify_paraboson_identity(7, 1, 10).passed
+    # the 6 x 6 square holds 2^6 diagrams; arm sets with sum(2a + 2) <= 10 are 10
+    assert len(built) == 10
+    assert all(mu.size + frobenius_decompose(mu).rank <= 10 for mu in built)
 
 
 def test_parafermion_builds_no_jacobi_trudi_minors(monkeypatch):

@@ -1,16 +1,20 @@
 """Partition calculus: cell-set oracles, frozen values, exhaustive roundtrips."""
 
 import copy
+import math
 import pickle
+from itertools import combinations
 
 import pytest
 
+from parafock import partitions
 from parafock.partitions import (
     FrobeniusForm,
     Partition,
     augment_arms,
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
+    enumeration_key,
     frobenius_compose,
     frobenius_decompose,
     hook_condition,
@@ -169,10 +173,21 @@ def test_augment_rejects_non_self_conjugate():
     [
         lambda: augment_arms(Partition([1]), -1),
         lambda: enumerate_self_conjugate_in_square(0),
+        lambda: enumerate_self_conjugate_in_square(2, -1),
+        lambda: enumerate_self_conjugate_in_square(2, math.nan),
+        lambda: enumerate_self_conjugate_in_square(2, 4, -1),
         lambda: list(enumerate_partitions(max_part=-1, max_length=2)),
         lambda: hook_condition(Partition([1]), -1, 0),
     ],
-    ids=["augment_arms", "self_conjugate_in_square", "enumerate_partitions", "hook_condition"],
+    ids=[
+        "augment_arms",
+        "self_conjugate_in_square",
+        "self_conjugate_negative_size",
+        "self_conjugate_nan_size",
+        "self_conjugate_negative_p",
+        "enumerate_partitions",
+        "hook_condition",
+    ],
 )
 def test_negative_bounds_raise(call):
     with pytest.raises(ValueError, match="must be"):
@@ -239,6 +254,41 @@ def test_square_enumeration_equals_brute_filter():
         assert sorted(brute, key=lambda l: l.parts) == sorted(
             enumerate_self_conjugate_in_square(n), key=lambda l: l.parts
         )
+
+
+def _square_by_frobenius(n):
+    """Every arm set inside {0, ..., n-1}, composed from Frobenius coordinates."""
+    out = [
+        frobenius_compose(FrobeniusForm(arms, arms))
+        for r in range(n + 1)
+        for arms in combinations(range(n - 1, -1, -1), r)
+    ]
+    return sorted(out, key=enumeration_key)
+
+
+def test_square_enumeration_equals_frobenius_composition():
+    for n in range(1, 11):
+        full = _square_by_frobenius(n)
+        assert enumerate_self_conjugate_in_square(n) == full
+        # a bound at or past the largest |mu^(p)| = n (n + p) cuts nothing
+        assert enumerate_self_conjugate_in_square(n, n * (n + 2), 2) == full
+        assert enumerate_self_conjugate_in_square(n, math.inf, 3) == full
+
+
+def test_bounded_square_enumeration_builds_only_what_it_returns(monkeypatch):
+    built = []
+
+    class Counted(Partition):
+        __slots__ = ()
+
+        def __init__(self, parts=()):
+            built.append(1)
+            super().__init__(parts)
+
+    monkeypatch.setattr(partitions, "Partition", Counted)
+    # the 20 x 20 square holds 2^20 diagrams; at p = 1, 371 have |mu^(1)| <= 40
+    out = enumerate_self_conjugate_in_square(20, 40, 1)
+    assert len(out) == len(built) == 371
 
 
 def test_degree_formula_is_integral_in_six_square():
