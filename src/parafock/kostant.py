@@ -32,10 +32,12 @@ character, read off by Brauer's formula (type B) and each D_nu expanded
 into 2^n type-A alternants; no denominator is expanded.  The paraboson
 denominator is a product of S_n orbits of factors, prod(1-x_i),
 prod_{i<j}(1-x_i x_j) and optionally prod(1-x_i^2); each orbit is
-symmetric, so its product with s_lambda = a_{lambda+delta} / a_delta
-straightens term by term onto +-s_nu (type A).  The orbits are applied
-one at a time, each expanded only through the degree bound, so a pass
-expands neither side, nor the whole denominator, into monomials.  The
+symmetric, so its product with s_lambda = a_{lambda+delta} / a_delta is
+the alternant of its product with x^{lambda+delta} over a_delta.  The
+Schur sum is carried as those monomials, takes each orbit's factors one
+at a time under the degree bound, and is straightened back onto +-s_nu
+(type A) after each orbit, so no orbit, nor the whole denominator, is
+ever expanded, and neither side's Schur polynomials are.  The
 parastatistics identity is compared by truncated integer polynomial
 arithmetic, each side taking its factors one at a time under the degree
 cap.  The Weyl-character check straightens D_rho times
@@ -226,31 +228,24 @@ def _denominator_factors(n: int, m: int = 0) -> list[MultiPoly]:
     return fs
 
 
-def _denominator_groups(n: int, symmetric: bool, degree: float = math.inf) -> list[MultiPoly]:
-    """The paraboson denominator as products of its S_n orbits of factors, in
-    the order ``_denominator_times`` applies them: prod(1-x_i), then
-    prod_{i<j}(1-x_i x_j), then, for the symmetric variant, prod(1-x_i^2).
-    Each group is symmetric because S_n permutes its factors, and stays so
-    without its terms of total degree above ``degree``, which no factor with
-    non-negative exponents can bring back down."""
+def _denominator_orbits(n: int, symmetric: bool) -> list[list[MultiPoly]]:
+    """The paraboson denominator's factors as S_n orbits, in the order
+    ``_denominator_times`` applies them: the 1-x_i, then the 1-x_i x_j
+    (i < j), then, for the symmetric variant, the 1-x_i^2.  S_n permutes
+    each orbit's factors, so each orbit's product is symmetric."""
     fs = _denominator_factors(n)
-    one = MultiPoly.one(n)
-    groups = [fs[:n], fs[n:]]
+    orbits = [fs[:n], fs[n:]]
     if symmetric:
+        one = MultiPoly.one(n)
         xs = [MultiPoly.variable(n, i) for i in range(n)]
-        groups.append([one - x * x for x in xs])
-    out = []
-    for g in groups:
-        terms = one.terms
-        for f in g:
-            terms = _mul_terms(terms, f.terms, 2 * degree)
-        out.append(MultiPoly._of(n, terms))
-    return out
+        orbits.append([one - x * x for x in xs])
+    return orbits
 
 
 def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
-    """The whole denominator, expanded: the product of its groups."""
-    return math.prod(_denominator_groups(n, symmetric), start=MultiPoly.one(n))
+    """The whole denominator, expanded: the product of its orbits."""
+    orbits = _denominator_orbits(n, symmetric)
+    return math.prod((f for orbit in orbits for f in orbit), start=MultiPoly.one(n))
 
 
 def _euler_characteristic(entries) -> dict[Partition, int]:
@@ -401,23 +396,31 @@ def verify_weyl_character(
     rho = Weight.rho(n)
     theta_p = Weight.p_theta(n, p)
     top = rho + theta_p
-    chi = weight_monomial(theta_p) * branching_character(n, p)
-    if _is_weyl_invariant(chi) and _brauer_product(rho, chi) == {top.coords: 1}:
+    branching = branching_character(n, p)
+    if _brauer_product(branching, p) == {top.coords: 1}:
         return _report("weyl-character", n, None, p, None, None, t0)
     lhs = alternant(top, max_rank)
-    rhs = alternant(rho, max_rank) * chi
+    rhs = alternant(rho, max_rank) * weight_monomial(theta_p) * branching
     return _report("weyl-character", n, None, p, None, _first_discrepancy(lhs, rhs), t0)
 
 
-def _brauer_product(rho: Weight, chi: MultiPoly) -> dict[tuple[int, ...], int]:
-    """D_rho * chi for Weyl-invariant chi, as {strictly dominant nu: coefficient
-    of D_nu}: Brauer's formula sum m_mu D_{rho + mu}, each term straightened.
+def _brauer_product(chi: MultiPoly, p: int) -> dict[tuple[int, ...], int] | None:
+    """D_rho * chi' for the shifted character chi' = exp(p theta) * chi =
+    x^{-(p/2)1} chi, as {strictly dominant nu: coefficient of D_nu}; None
+    when chi' is not Weyl-invariant.
 
-    The monomial x^e is exp(-e), so it contributes D_{rho - e}.
+    For invariant chi' = sum m_mu exp(mu), Brauer's formula gives
+    sum m_mu D_{rho + mu}, each term straightened.  The monomial x^e is
+    exp(-e), so it contributes D_{rho - e}.
     """
+    n = chi.nvars
+    shifted = MultiPoly._of(n, {tuple(x - p for x in e): c for e, c in chi.terms.items()})
+    if not _is_weyl_invariant(shifted):
+        return None
+    rho = Weight.rho(n).coords
     out: dict[tuple[int, ...], int] = {}
-    for e, c in chi.terms.items():
-        hit = _straighten([r - x for r, x in zip(rho.coords, e)])
+    for e, c in shifted.terms.items():
+        hit = _straighten([r - x for r, x in zip(rho, e)])
         if hit is not None:
             sign, nu = hit
             out[nu] = out.get(nu, 0) + sign * c
@@ -473,10 +476,8 @@ def _parafermion_times(n: int, p: int, family) -> dict[tuple[int, ...], int] | N
     every nu_i <= rho_1 + p/2 = c.
     """
     chi = _schur_expansion(((lam, 1) for lam in family), SchurContext(n))
-    shifted = MultiPoly._of(n, {tuple(x - p for x in e): c for e, c in chi.terms.items()})
-    if not _is_weyl_invariant(shifted):
-        return None
-    return _shifted_alternants(_brauer_product(Weight.rho(n), shifted), n, 2 * n - 1 + p)
+    coeffs = _brauer_product(chi, p)
+    return None if coeffs is None else _shifted_alternants(coeffs, n, 2 * n - 1 + p)
 
 
 def _shifted_alternants(
@@ -489,18 +490,15 @@ def _shifted_alternants(
     Row i of D_nu = det(x_j^{-nu_i} - x_j^{nu_i}) splits over s_i = +-1 into
     s_i x_j^{-s_i nu_i}, so D_nu = sum_s prod(s) a_{-s nu} over the 2^n sign
     vectors s, and the shift makes each term prod(s) a_{c1 - s nu}, whose
-    entries, halved out of half units, are non-negative integers.  Each straightens to
-    +-a_{lambda+delta} or 0, and dividing by a_delta gives +-s_lambda.
+    entries, halved out of half units, are non-negative integers.
+    ``_straighten_alternants`` writes each one as +-s_lambda or 0.
     """
     sign = (-1) ** (n * (n - 1) // 2)
-    out: dict[tuple[int, ...], int] = {}
-    for nu, m in coeffs.items():
-        for s in product((1, -1), repeat=n):
-            hit = _straighten_type_a([(c - si * x) // 2 for si, x in zip(s, nu)])
-            if hit is not None:
-                a_sign, lam = hit
-                out[lam] = out.get(lam, 0) + sign * a_sign * math.prod(s) * m
-    return {lam: x for lam, x in out.items() if x}
+    return _straighten_alternants(
+        ([c - si * x for si, x in zip(s, nu)], sign * math.prod(s) * m)
+        for nu, m in coeffs.items()
+        for s in product((1, -1), repeat=n)
+    )
 
 
 def verify_paraboson_identity(
@@ -514,10 +512,11 @@ def verify_paraboson_identity(
     denominator is prod(1-x_i) prod_{i<j}(1-x_i x_j); the "symmetric"
     variant also includes the diagonal factors 1-x_i^2.
 
-    Both variants are products of symmetric groups of factors, so
-    ``_denominator_times`` straightens their product with the branching sum
-    in the Schur basis, and the left side is the parafermionic one with
-    conjugate diagrams.  Truncation at degree D keeps exactly the s_nu with
+    Both variants are products of S_n orbits of factors, each orbit
+    symmetric, so ``_denominator_times`` multiplies the branching sum by
+    one orbit at a time and straightens it back into the Schur basis after
+    each, and the left side is the parafermionic one with conjugate
+    diagrams.  Truncation at degree D keeps exactly the s_nu with
     |nu| <= D, because s_nu is homogeneous of degree |nu|.
     """
     _validate_np(n, p)
@@ -548,18 +547,26 @@ def _denominator_times(
 
     It serves the paraboson check, and the parafermion check when
     ``_parafermion_times`` cannot (a family whose shifted character is not
-    Weyl-invariant).  The denominator is applied one group of
-    ``_denominator_groups`` at a time, and the sum stays in the Schur basis
-    between groups.  Each group G is a full S_n orbit of factors, so it is
-    symmetric on its own, and ``_symmetric_times`` multiplies it in exactly.
-    G_1 = prod(1-x_i) goes first because it telescopes the branching sum:
-    its alternating Pieri terms largely cancel, which shrinks the sum before
-    the much larger G_2 = prod_{i<j}(1-x_i x_j) meets it.  Every group has
-    only non-negative exponents, so no step lowers a degree: a term with
-    |nu| > degree, of a group or of the sum, can only contribute above the
-    bound, so each group is built only through the bound and every step
-    drops such a term at once instead of carrying it to the end.  The whole
-    denominator is never expanded.
+    Weyl-invariant).  s_nu = a_{nu+delta} / a_delta with a_v the S_n
+    alternant, so the Schur sum, sum c_nu s_nu, is carried in half units as
+    the monomials sum c_nu x^{nu+delta}, whose antisymmetrization
+    A(x^v) = sum_w sign(w) w(x^v) = a_v gives back sum c_nu a_{nu+delta}.
+    A symmetric G commutes with every w, so G a_v = A(G x^v), and by the
+    linearity of A, G times the sum is A(G sum c_nu x^{nu+delta}) / a_delta.
+    Each orbit of ``_denominator_orbits`` is such a G.  Its factors are
+    multiplied into the monomials one at a time by ``_mul_terms``; only the
+    whole orbit need be symmetric, not the partial products.  After the
+    orbit's last factor every monomial x^v is straightened once
+    (``_straighten_alternants``): a_v is +-a_{nu+delta} with
+    |nu| = |v| - |delta|, or 0 (Macdonald I.3), and dividing by a_delta
+    gives +-s_nu.  Straightening between orbits merges the monomials that
+    land on one s_nu.  G_1 = prod(1-x_i) goes first because it telescopes
+    the branching sum: its alternating Pieri terms largely cancel, which
+    shrinks the sum before the many factors of G_2 = prod_{i<j}(1-x_i x_j)
+    meet it.  No factor has a negative exponent, so no step lowers a
+    degree: a monomial with |v| > degree + |delta| can only give s_nu above
+    the bound, and every product drops it at once.  Neither an orbit nor
+    the whole denominator is ever expanded.
     """
     cap = math.inf if degree is None else degree
     coeffs: dict[tuple[int, ...], int] = {}
@@ -567,45 +574,33 @@ def _denominator_times(
         # s_lambda vanishes in n variables when lambda has more than n rows
         if len(lam) <= n and lam.size <= cap:
             coeffs[lam.parts] = coeffs.get(lam.parts, 0) + 1
-    for group in _denominator_groups(n, symmetric, cap):
-        coeffs = _symmetric_times(group, coeffs, n, cap)
+    # half units: delta = (n-1, ..., 0) doubled, and |delta| doubled is n(n-1)
+    delta = range(2 * n - 2, -1, -2)
+    cut = 2 * cap + n * (n - 1)
+    for orbit in _denominator_orbits(n, symmetric):
+        terms = {
+            tuple(2 * x + d for x, d in zip(nu + (0,) * (n - len(nu)), delta)): c
+            for nu, c in coeffs.items()
+        }
+        for f in orbit:
+            terms = _mul_terms(terms, f.terms, cut)
+        coeffs = _straighten_alternants(terms.items())
     return coeffs
 
 
-def _symmetric_times(
-    group: MultiPoly, coeffs: dict[tuple[int, ...], int], n: int, cap: float
-) -> dict[tuple[int, ...], int]:
-    """group times sum coeffs[nu] s_nu in n variables, as {nu: coefficient
-    of s_nu}, keeping |nu| <= cap.
-
-    s_lambda = a_{lambda+delta} / a_delta with a_v the S_n alternant.  When
-    group = sum c_alpha x^alpha is S_n-invariant,
-    group a_{lambda+delta} = sum_w sign(w) w(group x^{lambda+delta})
-    = sum c_alpha a_{alpha+lambda+delta}; for a group that is not
-    symmetric this step fails.  Each a_{alpha+lambda+delta} is
-    +-a_{nu+delta} with |nu| = |alpha| + |lambda|, or 0 (Macdonald I.3),
-    and dividing by a_delta gives +-s_nu.
+def _straighten_alternants(terms) -> dict[tuple[int, ...], int]:
+    """sum c a_v / a_delta over the pairs (v, c) of ``terms``, as {lambda:
+    coefficient of s_lambda}, for v in half units with even non-negative
+    entries.  Halved, each a_v straightens to +-a_{lambda+delta} or 0
+    (``_straighten_type_a``), and dividing by a_delta gives +-s_lambda.
     """
-    delta = range(n - 1, -1, -1)
-    shifted = sorted(
-        (
-            (sum(lam), [x + d for x, d in zip(lam + (0,) * (n - len(lam)), delta)], c)
-            for lam, c in coeffs.items()
-        ),
-        key=lambda t: t[0],
-    )
     out: dict[tuple[int, ...], int] = {}
-    for e, ca in group.terms.items():
-        alpha = [x // 2 for x in e]
-        room = cap - sum(alpha)
-        for size, v, c in shifted:
-            if size > room:
-                break
-            hit = _straighten_type_a([a + x for a, x in zip(alpha, v)])
-            if hit is not None:
-                sign, nu = hit
-                out[nu] = out.get(nu, 0) + sign * ca * c
-    return {nu: c for nu, c in out.items() if c}
+    for v, c in terms:
+        hit = _straighten_type_a([x // 2 for x in v])
+        if hit is not None:
+            sign, lam = hit
+            out[lam] = out.get(lam, 0) + sign * c
+    return {lam: c for lam, c in out.items() if c}
 
 
 def _schur_discrepancy(

@@ -597,17 +597,18 @@ def _denominator_times_single_pass(n, symmetric, family, degree=None):
 
 
 def test_denominator_times_matches_the_single_pass():
-    for n in range(1, 6):
+    cases = [(n, D) for n in range(1, 6) for D in (None, 0, 1, 2, 5, 8, 10)]
+    cases += [(6, D) for D in (4, 8, 10)]
+    for n, D in cases:
         for p in range(4):
-            for D in (None, 0, 1, 2, 5, 8, 10):
-                if D is None:
-                    family = list(enumerate_partitions(max_part=p, max_length=n))
-                else:
-                    family = list(enumerate_partitions(max_length=min(p, n), max_size=D))
-                for symmetric in (False, True):
-                    got = kostant._denominator_times(n, symmetric, family, D)
-                    expected = _denominator_times_single_pass(n, symmetric, family, D)
-                    assert got == expected, (n, p, D, symmetric)
+            if D is None:
+                family = list(enumerate_partitions(max_part=p, max_length=n))
+            else:
+                family = list(enumerate_partitions(max_length=min(p, n), max_size=D))
+            for symmetric in (False, True):
+                got = kostant._denominator_times(n, symmetric, family, D)
+                expected = _denominator_times_single_pass(n, symmetric, family, D)
+                assert got == expected, (n, p, D, symmetric)
 
 
 small_families = st.lists(
@@ -672,29 +673,33 @@ def test_rank_seven_parafermion_passes_without_the_denominator(monkeypatch):
         raise AssertionError("the parafermion pass applied the denominator")
 
     monkeypatch.setattr(kostant, "_denominator_times", unreachable)
-    monkeypatch.setattr(kostant, "_denominator_groups", unreachable)
+    monkeypatch.setattr(kostant, "_denominator_orbits", unreachable)
     assert verify_parafermion_identity(7, 2).passed
 
 
-def test_denominator_groups_are_symmetric_and_multiply_to_the_denominator():
-    # straightening moves each group past an alternant, one group at a time
+def test_denominator_orbits_are_symmetric_and_multiply_to_the_denominator():
+    # straightening moves each orbit's product past an alternant, one orbit
+    # at a time
     for n in range(1, 6):
         one = MultiPoly.one(n)
         xs = [MultiPoly.variable(n, i) for i in range(n)]
         for symmetric in (False, True):
-            groups = kostant._denominator_groups(n, symmetric)
-            assert len(groups) == 2 + symmetric
-            for g in groups:
+            orbits = kostant._denominator_orbits(n, symmetric)
+            assert len(orbits) == 2 + symmetric
+            for orbit in orbits:
+                g = math.prod(orbit, start=one)
                 for i in range(n - 1):
                     swap = list(range(n))
                     swap[i], swap[i + 1] = i + 1, i
+                    # the swap permutes the orbit's factors, so fixes their product
+                    assert {f.permute_variables(swap) for f in orbit} == set(orbit)
                     assert g.permute_variables(swap) == g, (n, symmetric, i)
             factors = [one - x for x in xs]
             factors += [one - xs[i] * xs[j] for i in range(n) for j in range(i + 1, n)]
             if symmetric:
                 factors += [one - x * x for x in xs]
             whole = math.prod(factors, start=one)
-            assert math.prod(groups, start=one) == whole
+            assert math.prod((f for orbit in orbits for f in orbit), start=one) == whole
             assert _paraboson_denominator(n, symmetric) == whole
 
 
@@ -704,26 +709,29 @@ def test_verifiers_never_expand_the_whole_denominator(monkeypatch):
 
     def spy_mul(a, b, cut=math.inf):
         out = real_mul(a, b, cut)
-        products.append((len(out), max(map(sum, out), default=0)))
+        products.append((len(a), len(b), max(map(sum, out), default=0)))
         return out
 
     def unreachable(n, symmetric):
         raise AssertionError("the verifier expanded the whole denominator")
 
-    # MultiPoly and TruncatedSeries products, and the groups, all run here
+    # MultiPoly and TruncatedSeries products, and the orbits' factor steps,
+    # all run here
     monkeypatch.setattr(polyring, "_mul_terms", spy_mul)
     monkeypatch.setattr(kostant, "_mul_terms", spy_mul)
     monkeypatch.setattr(kostant, "_paraboson_denominator", unreachable)
     assert verify_parafermion_identity(5, 3).passed
-    # Brauer's formula needs no group, nor any other product
+    # Brauer's formula needs no orbit, nor any other product
     assert products == []
-    assert verify_paraboson_identity(4, 3, 10, "symmetric").status == "fail"
+    n, D = 4, 10
+    assert verify_paraboson_identity(n, 3, D, "symmetric").status == "fail"
     monkeypatch.undo()
-    # every group stops at degree D (G_2 would reach 12 at n=4) ...
-    assert products and max(d for _, d in products) <= 2 * 10
-    # ... and the cut groups themselves are the largest products built
-    largest = max(len(g) for g in kostant._denominator_groups(4, True, 10))
-    assert max(size for size, _ in products) == largest
+    assert products
+    # every product stops at degree D plus |delta|, in half units ...
+    assert max(d for _, _, d in products) <= 2 * D + n * (n - 1)
+    # ... and multiplies in one two-term factor at a time, so no orbit's
+    # product is ever built
+    assert all(min(size_a, size_b) <= 2 for size_a, size_b, _ in products)
 
 
 def test_rank_six_paraboson_verdicts():
@@ -732,6 +740,14 @@ def test_rank_six_paraboson_verdicts():
     assert rep.first_discrepancy == {
         "degree": 2,
         "monomial": [0, 0, 0, 0, 0, 4],
+        "lhs": "0",
+        "rhs": "-1",
+    }
+    assert verify_paraboson_identity(7, 3, 12).passed
+    rep = verify_paraboson_identity(7, 3, 12, "symmetric")
+    assert rep.first_discrepancy == {
+        "degree": 2,
+        "monomial": [0, 0, 0, 0, 0, 0, 4],
         "lhs": "0",
         "rhs": "-1",
     }
