@@ -242,24 +242,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="parafock",
-        description=(
-            "Exact partition / Schur-polynomial combinatorics of "
-            "parastatistics Fock-space characters.  Variables are ordered "
-            "even block first (1..n), then odd block (n+1..n+m); polynomial "
-            "JSON stores exponents in half units (entry 2c = exponent c)."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(sp) -> None:
+    sp.add_argument("--format", choices=("json", "tsv"), default="json", help="output format")
 
-    def add_format(sp):
-        sp.add_argument(
-            "--format", choices=("json", "tsv"), default="json", help="output format"
-        )
 
-    sp = sub.add_parser("schur", help="Schur polynomial of a partition")
+def _schur_args(sp) -> None:
     sp.add_argument("--lambda", dest="lam", default="", help="partition, e.g. 2,1")
     sp.add_argument("--n", type=int, required=True, help="number of even variables")
     sp.add_argument("--m", type=int, default=0, help="number of odd variables")
@@ -272,10 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
             " or tableau sum (tab)"
         ),
     )
-    add_format(sp)
+    _add_format(sp)
     sp.set_defaults(func=_cmd_poly, engine=schur)
 
-    sp = sub.add_parser("hook-schur", help="hook (supersymmetric) Schur polynomial")
+
+def _hook_schur_args(sp) -> None:
     sp.add_argument("--lambda", dest="lam", default="", help="partition, e.g. 2,1")
     sp.add_argument("--n", type=int, required=True, help="number of even variables")
     sp.add_argument("--m", type=int, required=True, help="number of odd variables")
@@ -285,16 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="br",
         help="branching rule (br) or super-tableau sum (tab)",
     )
-    add_format(sp)
+    _add_format(sp)
     sp.set_defaults(func=_cmd_poly, engine=hook_schur)
 
-    sp = sub.add_parser("w1", help="minimal-length coset representatives")
+
+def _w1_args(sp) -> None:
     sp.add_argument("--n", type=int, required=True, help="rank")
     sp.add_argument("--force", action="store_true", help="override the rank limit")
-    add_format(sp)
+    _add_format(sp)
     sp.set_defaults(func=_cmd_w1)
 
-    sp = sub.add_parser("cohomology", help="nilradical cohomology table")
+
+def _cohomology_args(sp) -> None:
     sp.add_argument("--n", type=int, required=True, help="rank")
     sp.add_argument("--p", type=int, required=True, help="order of parastatistics")
     sp.add_argument(
@@ -304,23 +294,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="which independent construction to run",
     )
     sp.add_argument("--force", action="store_true", help="override the rank limit")
-    add_format(sp)
+    _add_format(sp)
     sp.set_defaults(func=_cmd_cohomology)
 
-    sp = sub.add_parser("branch", help="branching character of the level-p module")
+
+def _branch_args(sp) -> None:
     sp.add_argument("--n", type=int, required=True, help="rank")
     sp.add_argument("--p", type=int, required=True, help="order of parastatistics")
     sp.add_argument("--force", action="store_true", help="override the rank limit")
-    add_format(sp)
+    _add_format(sp)
     sp.set_defaults(func=_cmd_branch)
 
-    sp = sub.add_parser("dims", help="module dimensions: per-diagram and totals")
+
+def _dims_args(sp) -> None:
     sp.add_argument("--n", type=int, required=True, help="rank")
     sp.add_argument("--p", type=int, required=True, help="order of parastatistics")
-    add_format(sp)
+    _add_format(sp)
     sp.set_defaults(func=_cmd_dims)
 
-    sp = sub.add_parser("verify", help="check a character identity")
+
+def _verify_args(sp) -> None:
     sp.add_argument(
         "--identity",
         required=True,
@@ -357,14 +350,56 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report real millis (off by default so output is reproducible)",
     )
-    add_format(sp)
+    _add_format(sp)
     sp.set_defaults(func=_cmd_verify)
 
+
+# name -> (help, the function that adds the subcommand's arguments), in the
+# order the full help lists them
+COMMANDS = {
+    "schur": ("Schur polynomial of a partition", _schur_args),
+    "hook-schur": ("hook (supersymmetric) Schur polynomial", _hook_schur_args),
+    "w1": ("minimal-length coset representatives", _w1_args),
+    "cohomology": ("nilradical cohomology table", _cohomology_args),
+    "branch": ("branching character of the level-p module", _branch_args),
+    "dims": ("module dimensions: per-diagram and totals", _dims_args),
+    "verify": ("check a character identity", _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Given one of ``COMMANDS``, only that subcommand's
+    parser is built, which is all that parsing an argv naming it needs;
+    otherwise (help, a missing or an unknown command) all of them are."""
+    parser = argparse.ArgumentParser(
+        prog="parafock",
+        description=(
+            "Exact partition / Schur-polynomial combinatorics of "
+            "parastatistics Fock-space characters.  Variables are ordered "
+            "even block first (1..n), then odd block (n+1..n+m); polynomial "
+            "JSON stores exponents in half units (entry 2c = exponent c)."
+        ),
+    )
+    if command in COMMANDS:
+        # an error after the subcommand, such as an extra positional, prints
+        # the top-level usage, which must still list every command
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+        )
+        table = {command: COMMANDS[command]}
+    else:
+        # metavar stays None here: argparse then names the action "command" in
+        # its "invalid choice" and "required" errors
+        sub = parser.add_subparsers(dest="command", required=True)
+        table = COMMANDS
+    for name, (help_text, add_arguments) in table.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -242,12 +242,6 @@ def _denominator_orbits(n: int, symmetric: bool) -> list[list[MultiPoly]]:
     return orbits
 
 
-def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
-    """The whole denominator, expanded: the product of its orbits."""
-    orbits = _denominator_orbits(n, symmetric)
-    return math.prod((f for orbit in orbits for f in orbit), start=MultiPoly.one(n))
-
-
 def _euler_characteristic(entries) -> dict[Partition, int]:
     """Euler-Poincare characteristic in the Schur basis: each entry's
     mu^(p) with sign (-1)^k, as {diagram: coefficient}."""

@@ -206,7 +206,7 @@ def test_criterion_8_schur_engine_equivalence(capsys):
 def test_criterion_9_level_zero_degeneration(capsys):
     emit = Emitter(capsys)
     with criterion(emit, 9, "level-zero degeneration", 5):
-        from parafock.kostant import _paraboson_denominator
+        from test_kostant import _paraboson_denominator
 
         for n in (1, 2, 3):
             report = verify_parafermion_identity(n, 0)

@@ -1,12 +1,15 @@
 """Command-line interface: output contracts, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from parafock.cli import DEGREE_ENV, main
+import pytest
+
+from parafock.cli import COMMANDS, DEGREE_ENV, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -392,7 +395,9 @@ def test_rank_limit_can_be_forced(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
-    capsys.readouterr()
+    assert "argument command: invalid choice: 'no-such-command'" in capsys.readouterr().err
+    assert main([]) == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
     assert main(["schur"]) == 2  # missing --n
     capsys.readouterr()
     assert main(["verify", "--identity", "bogus", "--n", "1", "--p", "1"]) == 2
@@ -453,3 +458,66 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [{"exp": [2, 2], "coef": "1"}]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["parafock", "schur", "--lambda", "1,1", "--n", "2"])
+    assert main() == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == [{"exp": [2, 2], "coef": "1"}]
+
+
+# -- help and usage errors -----------------------------------------------------------
+
+# a valid argv for each command, and one of its options that takes an int
+VALID_ARGS = {
+    "schur": (["--n", "1"], "--n"),
+    "hook-schur": (["--n", "1", "--m", "1"], "--m"),
+    "w1": (["--n", "1"], "--n"),
+    "cohomology": (["--n", "1", "--p", "1"], "--p"),
+    "branch": (["--n", "1", "--p", "1"], "--n"),
+    "dims": (["--n", "1", "--p", "1"], "--p"),
+    "verify": (["--identity", "parafermion", "--n", "1", "--p", "1"], "--degree"),
+}
+HELP_AND_USAGE_ERRORS = [[], ["-h"], ["-h", "verify"], ["no-such-command"]] + [
+    argv
+    for command, (args, int_option) in VALID_ARGS.items()
+    for argv in (
+        [command, "-h"],
+        [command],  # a required option is missing
+        [command, *args, "--format", "xml"],
+        [command, *args, int_option, "x"],
+        [command, *args, "extra"],
+    )
+]
+
+
+@pytest.mark.parametrize("columns", ["57", "200"])
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, columns):
+    # argparse wraps help and usage at the terminal width
+    monkeypatch.setenv("COLUMNS", columns)
+    assert set(VALID_ARGS) == set(COMMANDS)
+    for argv in HELP_AND_USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        expected = (exc.value.code, *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == expected, argv
+
+
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def spy_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    assert main(["verify", "--identity", "parafermion", "--n", "1", "--p", "1"]) == 0
+    assert built == ["parafock", "parafock verify"]
+    for argv in (["no-such-command"], ["-h"]):
+        built.clear()
+        main(argv)
+        assert len(built) == 1 + len(COMMANDS), argv
+    capsys.readouterr()

@@ -17,8 +17,8 @@ from parafock.kostant import (
     CohomologyEntry,
     CohomologyTable,
     VerificationReport,
+    _denominator_orbits,
     _first_discrepancy,
-    _paraboson_denominator,
     branching_character,
     cohomology_via_partitions,
     cohomology_via_w1,
@@ -426,6 +426,14 @@ def test_parafermion_reports_pass():
     assert verify_parafermion_identity(3, 2).passed
 
 
+# The whole-product oracle: the tests compare the verifiers, which never
+# expand the paraboson denominator, against it.
+def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
+    """The whole denominator, expanded: the product of its orbits."""
+    orbits = _denominator_orbits(n, symmetric)
+    return math.prod((f for orbit in orbits for f in orbit), start=MultiPoly.one(n))
+
+
 def test_parafermion_level_zero_reduces_to_pure_denominator():
     from parafock.partitions import enumerate_self_conjugate_in_square, augment_arms
 
@@ -712,14 +720,10 @@ def test_verifiers_never_expand_the_whole_denominator(monkeypatch):
         products.append((len(a), len(b), max(map(sum, out), default=0)))
         return out
 
-    def unreachable(n, symmetric):
-        raise AssertionError("the verifier expanded the whole denominator")
-
     # MultiPoly and TruncatedSeries products, and the orbits' factor steps,
     # all run here
     monkeypatch.setattr(polyring, "_mul_terms", spy_mul)
     monkeypatch.setattr(kostant, "_mul_terms", spy_mul)
-    monkeypatch.setattr(kostant, "_paraboson_denominator", unreachable)
     assert verify_parafermion_identity(5, 3).passed
     # Brauer's formula needs no orbit, nor any other product
     assert products == []
