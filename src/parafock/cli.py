@@ -28,9 +28,8 @@ from .kostant import (
     verify_paraboson_identity,
     verify_parastat_identity,
     verify_weyl_character,
-    _validate_np,
 )
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, _integer, enumerate_partitions
 from .schur import SchurContext, hook_schur, schur
 from .weyl import ALTERNANT_RANK_LIMIT, Weight, dim_gl, dim_so, w1_element
 
@@ -144,8 +143,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    n, p = args.n, args.p
-    _validate_np(n, p)
+    n, p = _integer(args.n, "n", 1), _integer(args.p, "p")
     rows = []
     total = 0
     for lam in enumerate_partitions(max_part=p, max_length=n):
@@ -181,9 +179,7 @@ def _default_degree(identity: str, args) -> int:
             value = int(env)
         except ValueError as exc:
             raise ValueError(f"{DEGREE_ENV} must be an integer, got {env!r}") from exc
-        if value < 0:
-            raise ValueError(f"{DEGREE_ENV} must be >= 0, got {value}")
-        return value
+        return _integer(value, DEGREE_ENV)
     return DEFAULT_DEGREES[identity]
 
 
@@ -202,10 +198,10 @@ def _cmd_verify(args) -> int:
     ms = _parse_range(args.m) if args.m is not None else [None]
     _check_rank_limit(args, max(ns), max(ms) if ms != [None] else None)
     for v, name in ((min(ns), "--n"), (min(ms), "--m"), (min(ps), "--p")):
-        if v is not None and v < 0:
-            raise ValueError(f"{name} must be >= 0")
-    if identity in ("parafermion", "paraboson", "weyl-character") and min(ns) < 1:
-        raise ValueError("--n must be >= 1")
+        if v is not None:
+            _integer(v, name)
+    if identity != "parastat":
+        _integer(min(ns), "--n", 1)
     if identity in DEFAULT_DEGREES:
         D = _default_degree(identity, args)
 

@@ -59,6 +59,7 @@ from .partitions import (
     Partition,
     _FrozenRecord,
     _Record,
+    _integer,
     augment_arms,
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
@@ -68,7 +69,6 @@ from .partitions import (
 from .polyring import (
     MultiPoly,
     TruncatedSeries,
-    _degree_bound,
     _mul_terms,
     _term_key,
     expand_inverse_product,
@@ -153,7 +153,7 @@ def cohomology_via_w1(n: int, p: int) -> CohomologyTable:
     w = sigma(rho + p theta) - rho, which is reflected to a dominant diagram
     and shifted by the p/2 vacuum offset.
     """
-    _validate_np(n, p)
+    n, p = _integer(n, "n", 1), _integer(p, "p")
     rs = RootSystemB(n)
     vacuum = Weight.p_theta(n, p)
     rho = Weight.rho(n)
@@ -188,7 +188,7 @@ def cohomology_via_partitions(n: int, p: int, max_size: int | None = None) -> Co
     With ``max_size`` the table holds only the entries with |mu^(p)| <=
     max_size, in the same order as in the whole table, and builds no other.
     """
-    _validate_np(n, p)
+    n, p = _integer(n, "n", 1), _integer(p, "p")
     table = CohomologyTable(n, p)
     for mu in enumerate_self_conjugate_in_square(n, max_size, p):
         k, rem = divmod(mu.size + mu.frobenius_rank(), 2)
@@ -201,17 +201,10 @@ def cohomology_via_partitions(n: int, p: int, max_size: int | None = None) -> Co
     return table
 
 
-def _validate_np(n: int, p: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-
-
 def branching_character(n: int, p: int) -> MultiPoly:
     """Character of the level-p module as a gl(n) sum: all s_lambda with
     lambda inside the p^n rectangle.  Exact polynomial."""
-    _validate_np(n, p)
+    n, p = _integer(n, "n", 1), _integer(p, "p")
     ctx = SchurContext(n)
     return schur_sum(("max_columns", p), ctx, math.inf).poly
 
@@ -255,7 +248,8 @@ def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSerie
     """Character of the k-th term of the resolution: (sum of s_{mu^(p)} at
     degree k) times the character of the nilradical's symmetric algebra."""
     table = cohomology_via_partitions(n, p)
-    if not 0 <= k <= table.max_degree():
+    n, k = table.n, _integer(k, "k")
+    if k > table.max_degree():
         raise ValueError(f"k={k} outside 0..{table.max_degree()}")
     numerator = _schur_expansion(((e.diagram, 1) for e in table.entries_at(k)), SchurContext(n))
     universal = expand_inverse_product(_denominator_factors(n), valid_degree)
@@ -384,7 +378,7 @@ def verify_weyl_character(
     locate the first offending monomial; ``max_rank`` guards that product
     and is checked before any work.
     """
-    _validate_np(n, p)
+    n, p = _integer(n, "n", 1), _integer(p, "p")
     _check_alternant_rank(n, max_rank)
     t0 = time.perf_counter()
     rho = Weight.rho(n)
@@ -436,7 +430,7 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     is not Weyl-invariant takes ``_denominator_times`` instead; a failure
     expands only its lowest differing degree, to name the monomial.
     """
-    _validate_np(n, p)
+    n, p = _integer(n, "n", 1), _integer(p, "p")
     t0 = time.perf_counter()
     chi = _euler_characteristic(cohomology_via_partitions(n, p).entries)
     lhs = {lam.parts: c for lam, c in chi.items()}
@@ -513,11 +507,11 @@ def verify_paraboson_identity(
     diagrams.  Truncation at degree D keeps exactly the s_nu with
     |nu| <= D, because s_nu is homogeneous of degree |nu|.
     """
-    _validate_np(n, p)
+    n, p = _integer(n, "n", 1), _integer(p, "p")
     if denominator not in ("printed", "symmetric"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
     t0 = time.perf_counter()
-    D = _degree_bound(valid_degree)
+    D = _integer(valid_degree, "degree bound")
     # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < n - p give a
     # nonzero Schur polynomial in n variables: the (n-p) x (n-p) square.
     # Conjugation keeps |mu^(p)|, so the degree bound is the table's bound.
@@ -638,12 +632,11 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     above D at every step leaves the degree-D truncation of the whole
     product, and neither product of factors is ever expanded.
     """
-    if n < 0 or m < 0 or n + m < 1:
-        raise ValueError(f"need n, m >= 0 with n + m >= 1, got n={n}, m={m}")
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
+    n, m, p = _integer(n, "n"), _integer(m, "m"), _integer(p, "p")
+    if n + m < 1:
+        raise ValueError(f"need n + m >= 1, got n={n}, m={m}")
     t0 = time.perf_counter()
-    D = _degree_bound(valid_degree)
+    D = _integer(valid_degree, "degree bound")
     ctx = SchurContext(n, m)
     nv = n + m
     # The table holds the mu with |mu^(p)| <= D.  Every arm a that fits,

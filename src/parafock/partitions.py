@@ -15,6 +15,10 @@ builds only the diagrams it returns.
 
 Enumerations are deterministic: diagrams are ordered by total size and,
 within a size, by descending lexicographic order on the part lists.
+
+Every count and bound the package takes from outside (a variable count,
+an order p, a degree k or a degree bound D) is checked by ``_integer``,
+which the other modules import from here, the lowest layer.
 """
 
 from __future__ import annotations
@@ -32,6 +36,26 @@ __all__ = [
     "hook_condition",
     "enumeration_key",
 ]
+
+
+def _integer(value, name: str, low=0, infinite: bool = False):
+    """``value`` as an int, or ``math.inf`` where ``infinite`` allows it.
+
+    Integral numbers (``True``, ``3.0``) count as whole; ValueError naming
+    ``name`` for a whole value below ``low`` and for anything else: a
+    fraction, NaN, a disallowed infinity, a string.
+    """
+    if infinite and value == float("inf"):
+        return value
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if whole < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return whole
 
 
 class Partition:
@@ -217,8 +241,7 @@ def augment_arms(mu: Partition, p: int) -> Partition:
     block hold leg boxes only and stay as they are.
     """
     mu = as_partition(mu)
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
+    p = _integer(p, "p")
     if not mu.is_self_conjugate():
         raise ValueError(f"{mu!r} is not self-conjugate")
     r = mu.frobenius_rank()
@@ -246,15 +269,10 @@ def enumerate_self_conjugate_in_square(
     and opens only those that fit the remaining budget: every arm set it
     visits is one it returns.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
-    full = n * (n + p)  # every arm 0..n-1: |mu^(p)| = sum(2a + 1 + p)
-    if max_size is None:
-        max_size = full
-    elif not max_size >= 0:  # NaN fails every comparison
-        raise ValueError(f"max_size must be non-negative, got {max_size}")
+    n, p = _integer(n, "n", 1), _integer(p, "p")
+    budget = n * (n + p)  # every arm 0..n-1: |mu^(p)| = sum(2a + 1 + p)
+    if max_size is not None:
+        budget = min(_integer(max_size, "max_size", infinite=True), budget)
     out = []
 
     def walk(top: tuple[int, ...], below: int, room: int) -> None:
@@ -264,7 +282,7 @@ def enumerate_self_conjugate_in_square(
         for a in range(min(below, (room - 1 - p) // 2 + 1)):
             walk(top + (a + r + 1,), a, room - 2 * a - 1 - p)
 
-    walk((), n, min(max_size, full))
+    walk((), n, budget)
     out.sort(key=enumeration_key)
     return out
 
@@ -306,20 +324,21 @@ def enumerate_partitions(
     one of the bounds must make the stream's grading well defined: when
     max_part and max_length are both unbounded, max_size must be finite.
     """
-    for name, v in (("max_part", max_part), ("max_length", max_length), ("max_size", max_size)):
-        if v is not None and v < 0:
-            raise ValueError(f"{name} must be non-negative, got {v}")
+    max_part, max_length, max_size = (
+        None if v is None else _integer(v, name, infinite=True)
+        for v, name in ((max_part, "max_part"), (max_length, "max_length"), (max_size, "max_size"))
+    )
     if max_size is None and (max_part is None and max_length is None):
         raise ValueError("unbounded request: give max_size, or max_part and max_length")
     # One positive shape bound alone still leaves infinitely many sizes; the
     # stream is lazy and graded, so it is well defined and usable.  A zero
     # bound leaves only the empty diagram.
     size_cap = max_size
-    if max_part is not None and max_length is not None:
+    if max_part == 0 or max_length == 0:
+        size_cap = 0  # before the product, which is NaN for 0 * math.inf
+    elif max_part is not None and max_length is not None:
         shape = max_part * max_length
         size_cap = shape if size_cap is None else min(size_cap, shape)
-    elif max_part == 0 or max_length == 0:
-        size_cap = 0
     d = 0
     while size_cap is None or d <= size_cap:
         mp = d if max_part is None else min(max_part, d)
@@ -331,6 +350,5 @@ def enumerate_partitions(
 
 def hook_condition(lam: Partition, n: int, m: int) -> bool:
     """True when the diagram fits in the (n|m) hook: row n+1 has at most m boxes."""
-    if n < 0 or m < 0:
-        raise ValueError(f"n and m must be non-negative, got n={n}, m={m}")
+    n, m = _integer(n, "n"), _integer(m, "m")
     return as_partition(lam).part(n) <= m

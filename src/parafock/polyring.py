@@ -20,11 +20,11 @@ is sound.
 
 Both classes multiply through one term-pair loop, ``_mul_terms``, which
 drops every term above a degree cut (none for an exact product).  The
-public constructors check outside input: exponent lengths, non-negative
-series exponents, the degree bound.  Results the library computes itself
-are wrapped by the private ``MultiPoly._of`` and ``TruncatedSeries._of``
-and are not checked again.  Every degree bound, of a series or of an
-identity check, is checked by ``_degree_bound``.
+public constructors check outside input: whole exponents and
+coefficients, exponent lengths, non-negative series exponents, the degree
+bound, each whole number through ``partitions._integer``.  Results the
+library computes itself are wrapped by the private ``MultiPoly._of`` and
+``TruncatedSeries._of`` and are not checked again.
 
 ``_det`` is the package's one determinant of a polynomial matrix: the
 Jacobi-Trudi minors, the S_n bialternant and the B_n alternant all come
@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from operator import add
+
+from .partitions import _integer
 
 __all__ = [
     "MultiPoly",
@@ -53,17 +55,9 @@ def _fmt_half(d: int) -> str:
     return str(d // 2) if d % 2 == 0 else f"{d}/2"
 
 
-def _degree_bound(bound, infinite: bool = False):
-    """A total-degree bound as a non-negative int, or ``math.inf`` where
-    ``infinite`` allows it; ValueError for a NaN, infinite, negative or
-    fractional bound otherwise."""
-    if infinite and bound == math.inf:
-        return bound
-    # NaN is the only value unequal to itself
-    if bound != bound or bound == math.inf or bound < 0 or bound != int(bound):
-        allowed = "a non-negative integer" + (" or math.inf" if infinite else "")
-        raise ValueError(f"degree bound must be {allowed}, got {bound!r}")
-    return int(bound)
+def _exponents(values) -> tuple[int, ...]:
+    """An exponent vector from outside, each entry a whole number."""
+    return tuple(_integer(x, "exponent", -math.inf) for x in values)
 
 
 def _mul_terms(a: dict, b: dict, cut=math.inf) -> dict:
@@ -100,18 +94,16 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
-        self.nvars = int(nvars)
-        if self.nvars < 0:
-            raise ValueError(f"nvars must be non-negative, got {nvars}")
+        self.nvars = _integer(nvars, "nvars")
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for e, c in terms.items():
-                e = tuple(int(x) for x in e)
+                e = _exponents(e)
                 if len(e) != self.nvars:
                     raise ValueError(
                         f"exponent vector {e} has length {len(e)}, expected {self.nvars}"
                     )
-                c = int(c)
+                c = _integer(c, "coefficient", -math.inf)
                 if c:
                     clean[e] = c
         self.terms = clean
@@ -141,13 +133,12 @@ class MultiPoly:
     @classmethod
     def term(cls, nvars: int, exponents: Iterable[int], coef: int = 1) -> "MultiPoly":
         """Single term from whole-integer exponents (doubled internally)."""
-        e = tuple(2 * int(x) for x in exponents)
-        return cls(nvars, {e: coef})
+        return cls(nvars, {tuple(2 * x for x in _exponents(exponents)): coef})
 
     @classmethod
     def half_term(cls, nvars: int, doubled: Iterable[int], coef: int = 1) -> "MultiPoly":
         """Single term from an exponent vector already in half units."""
-        return cls(nvars, {tuple(int(x) for x in doubled): coef})
+        return cls(nvars, {tuple(doubled): coef})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
@@ -171,16 +162,9 @@ class MultiPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: _term_key(t[0]))
 
-    def max_degree2(self) -> int | None:
-        """Largest total degree in half units, None for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=None)
-
-    def min_degree2(self) -> int | None:
-        return min((sum(e) for e in self.terms), default=None)
-
     def coefficient(self, exponents: Iterable[int]) -> int:
         """Coefficient at whole-integer exponents."""
-        e = tuple(int(x) for x in exponents)
+        e = _exponents(exponents)
         if len(e) != self.nvars:
             raise ValueError(f"exponent vector {e} has length {len(e)}, expected {self.nvars}")
         return self.terms.get(tuple(2 * x for x in e), 0)
@@ -251,8 +235,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
+        k = _integer(k, "power")
         out = MultiPoly.one(self.nvars)
         base = self
         while k:
@@ -315,14 +298,6 @@ class MultiPoly:
         return [
             {"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, nvars: int, obj) -> "MultiPoly":
-        terms: dict[tuple[int, ...], int] = {}
-        for item in obj:
-            e = tuple(int(x) for x in item["exp"])
-            terms[e] = terms.get(e, 0) + int(item["coef"])
-        return cls(nvars, terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -405,7 +380,7 @@ class TruncatedSeries:
     __slots__ = ("poly", "valid_degree")
 
     def __init__(self, poly: MultiPoly, valid_degree):
-        valid_degree = _degree_bound(valid_degree, infinite=True)
+        valid_degree = _integer(valid_degree, "degree bound", infinite=True)
         if any(x < 0 for e in poly.terms for x in e):
             raise ValueError("series exponents must be non-negative")
         cut = 2 * valid_degree
@@ -492,20 +467,16 @@ def _geometric_factor(factor: MultiPoly) -> tuple[tuple[int, ...], int]:
     return e, -c
 
 
-def expand_inverse_product(
-    factors: list[MultiPoly], valid_degree, nvars: int | None = None
-) -> TruncatedSeries:
+def expand_inverse_product(factors: list[MultiPoly], valid_degree) -> TruncatedSeries:
     """Expand prod 1/(1 - c_k * x^(a_k)) as a series through ``valid_degree``.
 
     Every factor must literally be 1 minus a single monomial of positive
     total degree; each contributes a geometric series, multiplied out with
     truncation.
     """
-    valid_degree = _degree_bound(valid_degree)
+    valid_degree = _integer(valid_degree, "degree bound")
     if not factors:
-        if nvars is None:
-            raise ValueError("empty factor list needs an explicit nvars")
-        return TruncatedSeries(MultiPoly.one(nvars), valid_degree)
+        raise ValueError("need at least one factor")
     nv = factors[0].nvars
     result = TruncatedSeries(MultiPoly.one(nv), valid_degree)
     for f in factors:

@@ -45,11 +45,12 @@ from itertools import combinations_with_replacement, groupby, product
 
 from .partitions import (
     Partition,
+    _integer,
     as_partition,
     enumerate_partitions,
     hook_condition,
 )
-from .polyring import MultiPoly, TruncatedSeries, _degree_bound, _det
+from .polyring import MultiPoly, TruncatedSeries, _det
 
 __all__ = [
     "SchurContext",
@@ -66,10 +67,8 @@ class SchurContext:
     plain (``gt``) and hook (``br``) engines share over the n + m variables."""
 
     def __init__(self, n: int, m: int = 0):
-        if n < 0 or m < 0:
-            raise ValueError(f"variable counts must be non-negative, got n={n}, m={m}")
-        self.n = int(n)
-        self.m = int(m)
+        self.n = _integer(n, "n")
+        self.m = _integer(m, "m")
         self.nvars = self.n + self.m
         self._h_cache: dict[tuple[str, int], MultiPoly] = {}
         self._gt_cache: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
@@ -289,11 +288,9 @@ def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> T
     * ``("hook", p)``: hook Schur sum over all lambda with at most p
       columns (finite degree bound required).
     """
-    valid_degree = _degree_bound(valid_degree, infinite=True)
+    valid_degree = _integer(valid_degree, "degree bound", infinite=True)
     kind, p = constraint
-    p = int(p)
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
+    p = _integer(p, "p")
     if kind in ("max_columns", "max_rows") and ctx.m != 0:
         raise ValueError(f"constraint {kind!r} needs a context with m=0")
     if kind == "max_columns":

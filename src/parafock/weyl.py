@@ -28,7 +28,7 @@ the S_n sort sign.
 
 from __future__ import annotations
 
-from .partitions import Partition, as_partition
+from .partitions import Partition, _integer, as_partition
 
 __all__ = [
     "Weight",
@@ -210,9 +210,7 @@ class RootSystemB:
     """Positive roots e_i, e_i +- e_j (i<j) and the abelian-nilradical subset."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"rank must be >= 1, got {n}")
-        self.n = n
+        self.n = n = _integer(n, "rank", 1)
         pos: list[Weight] = []
         for i in range(1, n + 1):
             pos.append(Weight.basis(i, n))
@@ -231,9 +229,6 @@ class RootSystemB:
         # values, (i, c, j, d); e_i has just one, read twice.
         nonzero = ([(k, c) for k, c in enumerate(w.coords) if c] for w in pos)
         self._supports = tuple(nz[0] + nz[-1] for nz in nonzero)
-
-    def is_positive_root(self, w: Weight) -> bool:
-        return w.coords in self._pos_set
 
     def is_nilradical_root(self, w: Weight) -> bool:
         return w.coords in self._nil_set

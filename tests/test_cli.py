@@ -393,6 +393,17 @@ def test_rank_limit_can_be_forced(capsys):
     assert len(json.loads(out)) == 2 ** 7
 
 
+# argparse reads a separate "-2..1" as an option, so only the "=" spelling
+# reaches the ">= 0" check
+@pytest.mark.parametrize(
+    "m, message",
+    [(("--m", "-2..1"), "expected one argument"), (("--m=-2..1",), "--m must be >= 0, got -2")],
+)
+def test_a_negative_range_needs_an_equals_sign(capsys, m, message):
+    code, out, err = run(capsys, "verify", "--identity", "parastat", "--n", "1", *m, "--p", "1")
+    assert code == 2 and out == "" and message in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert "argument command: invalid choice: 'no-such-command'" in capsys.readouterr().err

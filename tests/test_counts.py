@@ -1,0 +1,227 @@
+"""Every count and bound is checked by one function, ``partitions._integer``.
+
+Each public site that takes a count (n, m, p, k, a rank, a number of
+variables) or a bound (a degree bound, an enumeration bound) must reject a
+fraction, NaN, a string, a value below its minimum and a disallowed
+infinity with a ValueError naming the argument, and must treat an integral
+number (3.0, True) exactly as the int it equals.
+"""
+
+import json
+import math
+import re
+
+import pytest
+
+from parafock.cli import DEGREE_ENV, main
+from parafock.kostant import (
+    VerificationReport,
+    branching_character,
+    cohomology_via_partitions,
+    cohomology_via_w1,
+    resolution_character,
+    verify_paraboson_identity,
+    verify_parafermion_identity,
+    verify_parastat_identity,
+    verify_weyl_character,
+)
+from parafock.partitions import (
+    Partition,
+    _integer,
+    augment_arms,
+    enumerate_partitions,
+    enumerate_self_conjugate_in_square,
+    hook_condition,
+)
+from parafock.polyring import MultiPoly, TruncatedSeries, expand_inverse_product
+from parafock.schur import SchurContext, hook_schur, schur, schur_sum
+from parafock.weyl import RootSystemB
+
+X = MultiPoly.variable(1, 0)
+
+# (id, argument name, minimum, infinity allowed, call with the argument set to v)
+SITES = [
+    ("augment_arms.p", "p", 0, False, lambda v: augment_arms(Partition([2, 1]), v)),
+    ("self_conjugate.n", "n", 1, False, lambda v: enumerate_self_conjugate_in_square(v)),
+    ("self_conjugate.p", "p", 0, False, lambda v: enumerate_self_conjugate_in_square(2, p=v)),
+    ("self_conjugate.max_size", "max_size", 0, True,
+     lambda v: enumerate_self_conjugate_in_square(3, v, 1)),
+    ("enumerate.max_part", "max_part", 0, True,
+     lambda v: list(enumerate_partitions(max_part=v, max_length=2))),
+    ("enumerate.max_length", "max_length", 0, True,
+     lambda v: list(enumerate_partitions(max_part=2, max_length=v))),
+    ("enumerate.max_size", "max_size", 0, True,
+     lambda v: list(enumerate_partitions(max_part=2, max_size=v))),
+    ("hook_condition.n", "n", 0, False, lambda v: hook_condition(Partition([2, 2, 1]), v, 1)),
+    ("hook_condition.m", "m", 0, False, lambda v: hook_condition(Partition([3, 3, 2]), 1, v)),
+    ("MultiPoly.nvars", "nvars", 0, False, lambda v: MultiPoly(v)),
+    ("MultiPoly.exponent", "exponent", -math.inf, False, lambda v: MultiPoly(1, {(v,): 1})),
+    ("MultiPoly.coefficient", "coefficient", -math.inf, False,
+     lambda v: MultiPoly(1, {(2,): v})),
+    ("MultiPoly.constant", "coefficient", -math.inf, False, lambda v: MultiPoly.constant(1, v)),
+    ("MultiPoly.term", "exponent", -math.inf, False, lambda v: MultiPoly.term(1, (v,))),
+    ("MultiPoly.half_term", "exponent", -math.inf, False,
+     lambda v: MultiPoly.half_term(1, (v,))),
+    ("MultiPoly.coefficient_lookup", "exponent", -math.inf, False,
+     lambda v: (X ** 3 + 5 * X).coefficient((v,))),
+    ("MultiPoly.pow", "power", 0, False, lambda v: (X + 1) ** v),
+    ("TruncatedSeries.bound", "degree bound", 0, True, lambda v: TruncatedSeries(X ** 2 + X, v)),
+    ("expand_inverse_product.bound", "degree bound", 0, False,
+     lambda v: expand_inverse_product([1 - X], v)),
+    ("SchurContext.n", "n", 0, False, lambda v: schur(Partition([2, 1]), SchurContext(v))),
+    ("SchurContext.m", "m", 0, False,
+     lambda v: hook_schur(Partition([2, 1]), SchurContext(1, v))),
+    ("schur_sum.bound", "degree bound", 0, True,
+     lambda v: schur_sum(("max_columns", 1), SchurContext(2), v)),
+    ("schur_sum.p", "p", 0, False, lambda v: schur_sum(("hook", v), SchurContext(1, 1), 4)),
+    ("RootSystemB.rank", "rank", 1, False, lambda v: RootSystemB(v).positive_roots),
+    ("cohomology_via_w1.n", "n", 1, False, lambda v: cohomology_via_w1(v, 1)),
+    ("cohomology_via_w1.p", "p", 0, False, lambda v: cohomology_via_w1(2, v)),
+    ("cohomology_via_partitions.n", "n", 1, False, lambda v: cohomology_via_partitions(v, 1)),
+    ("cohomology_via_partitions.p", "p", 0, False, lambda v: cohomology_via_partitions(2, v)),
+    ("cohomology_via_partitions.max_size", "max_size", 0, True,
+     lambda v: cohomology_via_partitions(3, 1, v)),
+    ("branching_character.n", "n", 1, False, lambda v: branching_character(v, 1)),
+    ("branching_character.p", "p", 0, False, lambda v: branching_character(2, v)),
+    ("resolution_character.n", "n", 1, False, lambda v: resolution_character(v, 1, 1, 3)),
+    ("resolution_character.p", "p", 0, False, lambda v: resolution_character(2, v, 1, 3)),
+    ("resolution_character.k", "k", 0, False, lambda v: resolution_character(2, 1, v, 3)),
+    ("resolution_character.bound", "degree bound", 0, False,
+     lambda v: resolution_character(2, 1, 1, v)),
+    ("weyl_character.n", "n", 1, False, lambda v: verify_weyl_character(v, 1)),
+    ("weyl_character.p", "p", 0, False, lambda v: verify_weyl_character(2, v)),
+    ("parafermion.n", "n", 1, False, lambda v: verify_parafermion_identity(v, 1)),
+    ("parafermion.p", "p", 0, False, lambda v: verify_parafermion_identity(2, v)),
+    ("paraboson.n", "n", 1, False, lambda v: verify_paraboson_identity(v, 1, 4)),
+    ("paraboson.p", "p", 0, False, lambda v: verify_paraboson_identity(2, v, 4)),
+    ("paraboson.bound", "degree bound", 0, False,
+     lambda v: verify_paraboson_identity(2, 1, v)),
+    ("parastat.n", "n", 0, False, lambda v: verify_parastat_identity(v, 1, 1, 4)),
+    ("parastat.m", "m", 0, False, lambda v: verify_parastat_identity(1, v, 1, 4)),
+    ("parastat.p", "p", 0, False, lambda v: verify_parastat_identity(1, 1, v, 4)),
+    ("parastat.bound", "degree bound", 0, False,
+     lambda v: verify_parastat_identity(1, 1, 1, v)),
+]
+
+
+def bad_values(low, infinite):
+    """(value, the message it must raise) for one argument."""
+    out = [(v, "must be an integer, got " + repr(v)) for v in (2.5, math.nan, "3")]
+    if low > -math.inf:
+        out.append((low - 1, f"must be >= {low}, got {low - 1}"))
+    if not infinite:
+        out.append((math.inf, "must be an integer, got inf"))
+    return out
+
+
+BAD = [
+    pytest.param(call, value, f"{name} {message}", id=f"{site}-{value!r}")
+    for site, name, low, infinite, call in SITES
+    for value, message in bad_values(low, infinite)
+]
+
+
+@pytest.mark.parametrize("call, value, message", BAD)
+def test_a_bad_count_raises_naming_the_argument(call, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
+
+
+def normal(result) -> str:
+    """A result as text that tells an int from an equal float."""
+    if isinstance(result, VerificationReport):
+        obj = result.to_json_obj()
+        obj["millis"] = 0
+        return json.dumps(obj)
+    return repr(result)
+
+
+@pytest.mark.parametrize("call", [s[4] for s in SITES], ids=[s[0] for s in SITES])
+def test_an_integral_number_counts_as_its_int(call):
+    assert normal(call(3.0)) == normal(call(3))
+    assert normal(call(True)) == normal(call(1))
+
+
+def test_the_helper():
+    assert _integer(3.0, "n") == 3 and type(_integer(3.0, "n")) is int
+    assert type(_integer(True, "n")) is int
+    assert _integer(math.inf, "bound", infinite=True) == math.inf
+    assert _integer(-5, "exponent", -math.inf) == -5
+    for value in (None, [3], 3 + 0j, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"x must be an integer, got {value!r}")):
+            _integer(value, "x", infinite=True)
+
+
+# Calls that, before every count went through ``_integer``, passed with a
+# wrong verdict, returned a silently truncated or empty result, or crashed
+# with a TypeError.
+DEFECTS = {
+    "weyl_character_fractional_p": lambda: verify_weyl_character(2, 1.5),
+    "weyl_character_half_p": lambda: verify_weyl_character(3, 0.5),
+    "w1_table_fractional_p": lambda: cohomology_via_w1(2, 1.5),
+    "resolution_fractional_k": lambda: resolution_character(2, 1, 1.5, 4),
+    "branching_fractional_p": lambda: branching_character(2, 1.5),
+    "schur_sum_fractional_p": lambda: schur_sum(("hook", 2.5), SchurContext(1, 1), 4),
+    "augment_fractional_p": lambda: augment_arms(Partition([1]), 1.5),
+    "context_fractional_n": lambda: SchurContext(2.7),
+    "enumerate_nan_size": lambda: list(enumerate_partitions(max_part=2, max_size=math.nan)),
+    "enumerate_nan_length": lambda: list(enumerate_partitions(max_part=2, max_length=math.nan)),
+    "self_conjugate_fractional_size": lambda: enumerate_self_conjugate_in_square(3, 2.5),
+    "partitions_table_fractional_size": lambda: cohomology_via_partitions(3, 1, 2.5),
+    "parafermion_fractional_p": lambda: verify_parafermion_identity(2, 1.5),
+    "multipoly_fractional_exponent": lambda: MultiPoly(1, {(2.5,): 1}),
+    "multipoly_fractional_coefficient": lambda: MultiPoly(1, {(2,): 2.5}),
+    "multipoly_fractional_constant": lambda: MultiPoly.constant(1, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", DEFECTS.values(), ids=DEFECTS.keys())
+def test_former_defects_raise(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_former_crashes_on_whole_floats_now_run():
+    assert verify_parafermion_identity(2.0, 1).to_json_obj()["n"] == 2
+    assert enumerate_self_conjugate_in_square(3, 8.0) == enumerate_self_conjugate_in_square(3, 8)
+
+
+def test_a_zero_bound_beside_an_infinite_one_leaves_the_empty_diagram():
+    assert list(enumerate_partitions(max_part=0, max_length=math.inf)) == [Partition()]
+    assert list(enumerate_partitions(max_part=math.inf, max_length=0)) == [Partition()]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("schur", "--n", "-1"), "n must be >= 0, got -1"),
+        (("hook-schur", "--n", "1", "--m", "-1"), "m must be >= 0, got -1"),
+        (("dims", "--n", "0", "--p", "1"), "n must be >= 1, got 0"),
+        (("dims", "--n", "2", "--p", "-1"), "p must be >= 0, got -1"),
+        (("verify", "--identity", "paraboson", "--n", "1", "--p", "1", "--degree", "-1"),
+         "degree bound must be >= 0, got -1"),
+        (("verify", "--identity", "parastat", "--n=-1", "--m", "1", "--p", "1"),
+         "--n must be >= 0, got -1"),
+        (("verify", "--identity", "parastat", "--n", "1", "--m=-1", "--p", "1"),
+         "--m must be >= 0, got -1"),
+        (("verify", "--identity", "parastat", "--n", "1", "--m", "1", "--p=-1"),
+         "--p must be >= 0, got -1"),
+        (("verify", "--identity", "parafermion", "--n", "0", "--p", "1"),
+         "--n must be >= 1, got 0"),
+        (("verify", "--identity", "parastat", "--n", "0", "--m", "0", "--p", "1"),
+         "need n + m >= 1, got n=0, m=0"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_cli_names_the_bad_count(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_cli_degree_environment_must_be_whole(capsys, monkeypatch):
+    for value, message in (("2.5", "must be an integer, got '2.5'"), ("-2", "must be >= 0, got -2")):
+        monkeypatch.setenv(DEGREE_ENV, value)
+        assert main(["verify", "--identity", "paraboson", "--n", "1", "--p", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{DEGREE_ENV} {message}" in captured.err
