@@ -221,20 +221,6 @@ def _denominator_factors(n: int, m: int = 0) -> list[MultiPoly]:
     return fs
 
 
-def _denominator_orbits(n: int, symmetric: bool) -> list[list[MultiPoly]]:
-    """The paraboson denominator's factors as S_n orbits, in the order
-    ``_denominator_times`` applies them: the 1-x_i, then the 1-x_i x_j
-    (i < j), then, for the symmetric variant, the 1-x_i^2.  S_n permutes
-    each orbit's factors, so each orbit's product is symmetric."""
-    fs = _denominator_factors(n)
-    orbits = [fs[:n], fs[n:]]
-    if symmetric:
-        one = MultiPoly.one(n)
-        xs = [MultiPoly.variable(n, i) for i in range(n)]
-        orbits.append([one - x * x for x in xs])
-    return orbits
-
-
 def _euler_characteristic(entries) -> dict[Partition, int]:
     """Euler-Poincare characteristic in the Schur basis: each entry's
     mu^(p) with sign (-1)^k, as {diagram: coefficient}."""
@@ -245,14 +231,17 @@ def _euler_characteristic(entries) -> dict[Partition, int]:
 
 
 def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSeries:
-    """Character of the k-th term of the resolution: (sum of s_{mu^(p)} at
-    degree k) times the character of the nilradical's symmetric algebra."""
-    table = cohomology_via_partitions(n, p)
-    n, k = table.n, _integer(k, "k")
+    """Character of the k-th term of the resolution through degree D =
+    ``valid_degree``: (sum of s_{mu^(p)} at degree k) times the character of
+    the nilradical's symmetric algebra.  s_{mu^(p)} is homogeneous of degree
+    |mu^(p)|, so the table is bounded at D: a larger entry adds only above D."""
+    n, p, k = _integer(n, "n", 1), _integer(p, "p"), _integer(k, "k")
+    D = _integer(valid_degree, "degree bound")
+    table = cohomology_via_partitions(n, p, D)
     if k > table.max_degree():
         raise ValueError(f"k={k} outside 0..{table.max_degree()}")
     numerator = _schur_expansion(((e.diagram, 1) for e in table.entries_at(k)), SchurContext(n))
-    universal = expand_inverse_product(_denominator_factors(n), valid_degree)
+    universal = expand_inverse_product(_denominator_factors(n), D)
     return TruncatedSeries(numerator, math.inf) * universal
 
 
@@ -406,9 +395,18 @@ def _brauer_product(chi: MultiPoly, p: int) -> dict[tuple[int, ...], int] | None
     if not _is_weyl_invariant(shifted):
         return None
     rho = Weight.rho(n).coords
+    pairs = (([r - x for r, x in zip(rho, e)], c) for e, c in shifted.terms.items())
+    return _straightened(pairs, _straighten)
+
+
+def _straightened(pairs, straighten) -> dict[tuple[int, ...], int]:
+    """sum c sign [nu] over the pairs (v, c), as {nu: coefficient} without
+    zeros, where ``straighten(v)`` is (sign, nu), or None when v's alternant
+    vanishes: ``_straighten`` for D_v (type B), ``_straighten_type_a`` for
+    a_v / a_delta = sign s_nu (type A)."""
     out: dict[tuple[int, ...], int] = {}
-    for e, c in shifted.terms.items():
-        hit = _straighten([r - x for r, x in zip(rho, e)])
+    for v, c in pairs:
+        hit = straighten(v)
         if hit is not None:
             sign, nu = hit
             out[nu] = out.get(nu, 0) + sign * c
@@ -477,16 +475,18 @@ def _shifted_alternants(
 
     Row i of D_nu = det(x_j^{-nu_i} - x_j^{nu_i}) splits over s_i = +-1 into
     s_i x_j^{-s_i nu_i}, so D_nu = sum_s prod(s) a_{-s nu} over the 2^n sign
-    vectors s, and the shift makes each term prod(s) a_{c1 - s nu}, whose
-    entries, halved out of half units, are non-negative integers.
-    ``_straighten_alternants`` writes each one as +-s_lambda or 0.
+    vectors s, and the shift makes each term prod(s) a_v with v = (c1 - s nu)
+    / 2.  Every c - s_i nu_i is even and non-negative, so v is in whole
+    units, and ``_straightened`` writes each a_v / a_delta as +-s_lambda or
+    0 (``_straighten_type_a``).
     """
     sign = (-1) ** (n * (n - 1) // 2)
-    return _straighten_alternants(
-        ([c - si * x for si, x in zip(s, nu)], sign * math.prod(s) * m)
+    pairs = (
+        ([(c - si * x) // 2 for si, x in zip(s, nu)], sign * math.prod(s) * m)
         for nu, m in coeffs.items()
         for s in product((1, -1), repeat=n)
     )
+    return _straightened(pairs, _straighten_type_a)
 
 
 def verify_paraboson_identity(
@@ -536,25 +536,23 @@ def _denominator_times(
     It serves the paraboson check, and the parafermion check when
     ``_parafermion_times`` cannot (a family whose shifted character is not
     Weyl-invariant).  s_nu = a_{nu+delta} / a_delta with a_v the S_n
-    alternant, so the Schur sum, sum c_nu s_nu, is carried in half units as
-    the monomials sum c_nu x^{nu+delta}, whose antisymmetrization
-    A(x^v) = sum_w sign(w) w(x^v) = a_v gives back sum c_nu a_{nu+delta}.
-    A symmetric G commutes with every w, so G a_v = A(G x^v), and by the
-    linearity of A, G times the sum is A(G sum c_nu x^{nu+delta}) / a_delta.
-    Each orbit of ``_denominator_orbits`` is such a G.  Its factors are
-    multiplied into the monomials one at a time by ``_mul_terms``; only the
-    whole orbit need be symmetric, not the partial products.  After the
-    orbit's last factor every monomial x^v is straightened once
-    (``_straighten_alternants``): a_v is +-a_{nu+delta} with
-    |nu| = |v| - |delta|, or 0 (Macdonald I.3), and dividing by a_delta
-    gives +-s_nu.  Straightening between orbits merges the monomials that
-    land on one s_nu.  G_1 = prod(1-x_i) goes first because it telescopes
-    the branching sum: its alternating Pieri terms largely cancel, which
-    shrinks the sum before the many factors of G_2 = prod_{i<j}(1-x_i x_j)
-    meet it.  No factor has a negative exponent, so no step lowers a
-    degree: a monomial with |v| > degree + |delta| can only give s_nu above
-    the bound, and every product drops it at once.  Neither an orbit nor
-    the whole denominator is ever expanded.
+    alternant and delta = (n-1, ..., 0), so the Schur sum, sum c_nu s_nu, is
+    carried in whole units as the monomials sum c_nu x^{nu+delta}, whose
+    antisymmetrization A(x^v) = sum_w sign(w) w(x^v) = a_v gives back
+    sum c_nu a_{nu+delta}.  A symmetric G commutes with every w, so
+    G a_v = A(G x^v), and G times the sum is A(G sum c_nu x^{nu+delta}) /
+    a_delta.  The denominator's S_n orbits of factors are such G: the 1-x_i,
+    the 1-x_i x_j (i < j) and, for the symmetric variant, the 1-x_i^2.  Each
+    factor is built in place as the two terms of 1 - x^e and multiplied in
+    by ``_mul_terms``; only a whole orbit need be symmetric.  After an orbit,
+    ``_straightened`` writes each a_v once as +-a_{nu+delta}, with
+    |nu| = |v| - |delta|, or 0 (Macdonald I.3), which merges the monomials
+    that land on one s_nu.  G_1 = prod(1-x_i) goes first: its alternating
+    Pieri terms largely cancel, which shrinks the sum before the many
+    factors of G_2 = prod_{i<j}(1-x_i x_j) meet it.  No factor has a
+    negative exponent, so a monomial above the cut degree + |delta| =
+    degree + n(n-1)/2 gives only s_nu above the bound, and every product
+    drops it.  Neither an orbit nor the whole denominator is ever expanded.
     """
     cap = math.inf if degree is None else degree
     coeffs: dict[tuple[int, ...], int] = {}
@@ -562,33 +560,23 @@ def _denominator_times(
         # s_lambda vanishes in n variables when lambda has more than n rows
         if len(lam) <= n and lam.size <= cap:
             coeffs[lam.parts] = coeffs.get(lam.parts, 0) + 1
-    # half units: delta = (n-1, ..., 0) doubled, and |delta| doubled is n(n-1)
-    delta = range(2 * n - 2, -1, -2)
-    cut = 2 * cap + n * (n - 1)
-    for orbit in _denominator_orbits(n, symmetric):
+    delta = range(n - 1, -1, -1)
+    cut = cap + n * (n - 1) // 2
+    zero = (0,) * n
+    # each factor 1 - x^e named by the variables in e: x_i, x_i x_j, x_i^2
+    orbits = [[(i,) for i in range(n)], list(combinations(range(n), 2))]
+    if symmetric:
+        orbits.append([(i, i) for i in range(n)])
+    for orbit in orbits:
         terms = {
-            tuple(2 * x + d for x, d in zip(nu + (0,) * (n - len(nu)), delta)): c
+            tuple(x + d for x, d in zip(nu + (0,) * (n - len(nu)), delta)): c
             for nu, c in coeffs.items()
         }
-        for f in orbit:
-            terms = _mul_terms(terms, f.terms, cut)
-        coeffs = _straighten_alternants(terms.items())
+        for variables in orbit:
+            e = tuple(variables.count(i) for i in range(n))
+            terms = _mul_terms(terms, {zero: 1, e: -1}, cut)
+        coeffs = _straightened(terms.items(), _straighten_type_a)
     return coeffs
-
-
-def _straighten_alternants(terms) -> dict[tuple[int, ...], int]:
-    """sum c a_v / a_delta over the pairs (v, c) of ``terms``, as {lambda:
-    coefficient of s_lambda}, for v in half units with even non-negative
-    entries.  Halved, each a_v straightens to +-a_{lambda+delta} or 0
-    (``_straighten_type_a``), and dividing by a_delta gives +-s_lambda.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    for v, c in terms:
-        hit = _straighten_type_a([x // 2 for x in v])
-        if hit is not None:
-            sign, lam = hit
-            out[lam] = out.get(lam, 0) + sign * c
-    return {lam: c for lam, c in out.items() if c}
 
 
 def _schur_discrepancy(

@@ -206,8 +206,10 @@ class FrobeniusForm(_FrozenRecord):
 
 
 def as_partition(lam) -> Partition:
-    """Coerce an iterable of parts (or a Partition) to a Partition."""
-    return lam if isinstance(lam, Partition) else Partition(lam)
+    """Coerce an iterable of whole parts (or a Partition) to a Partition."""
+    if isinstance(lam, Partition):
+        return lam
+    return Partition(_integer(x, "part", float("-inf")) for x in lam)
 
 
 def frobenius_decompose(lam: Partition) -> FrobeniusForm:

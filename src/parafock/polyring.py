@@ -61,7 +61,8 @@ def _exponents(values) -> tuple[int, ...]:
 
 
 def _mul_terms(a: dict, b: dict, cut=math.inf) -> dict:
-    """Product of two term dicts without the terms of doubled degree above cut.
+    """Product of two term dicts without the terms whose exponent sum (the
+    doubled degree, for ``MultiPoly`` terms) is above cut.
 
     The smaller operand is sorted by degree, so each term of the larger one
     stops at its first partner past the cut.
@@ -124,11 +125,11 @@ class MultiPoly:
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: 1})
+        return cls.constant(nvars, 1)
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: c})
+        return cls(nvars, {(0,) * _integer(nvars, "nvars"): c})
 
     @classmethod
     def term(cls, nvars: int, exponents: Iterable[int], coef: int = 1) -> "MultiPoly":
@@ -142,6 +143,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
+        nvars, i = _integer(nvars, "nvars"), _integer(i, "variable index", -math.inf)
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
         e = [0] * nvars

@@ -64,11 +64,12 @@ class Weight:
 
     @classmethod
     def zero(cls, n: int) -> "Weight":
-        return cls((0,) * n)
+        return cls((0,) * _integer(n, "n"))
 
     @classmethod
     def basis(cls, i: int, n: int) -> "Weight":
         """The unit vector e_i (1-based i)."""
+        n, i = _integer(n, "n"), _integer(i, "index", float("-inf"))
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of range 1..{n}")
         c = [0] * n
@@ -78,12 +79,12 @@ class Weight:
     @classmethod
     def rho(cls, n: int) -> "Weight":
         """Half-sum of the positive roots: coordinates (2n-2i+1)/2."""
-        return cls(2 * (n - i) + 1 for i in range(1, n + 1))
+        return cls(range(2 * _integer(n, "n") - 1, 0, -2))
 
     @classmethod
     def p_theta(cls, n: int, p: int) -> "Weight":
         """p/2 times the all-ones vector (the level-p highest weight)."""
-        return cls((p,) * n)
+        return cls((_integer(p, "p"),) * _integer(n, "n"))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(a + b for a, b in zip(self.coords, other.coords, strict=True))
@@ -223,7 +224,6 @@ class RootSystemB:
         self.nilradical_roots: tuple[Weight, ...] = tuple(
             w for w in pos if all(c >= 0 for c in w.coords)
         )
-        self._pos_set = frozenset(w.coords for w in self.positive_roots)
         self._nil_set = frozenset(w.coords for w in self.nilradical_roots)
         # Per positive root, its first and last nonzero coordinates with their
         # values, (i, c, j, d); e_i has just one, read twice.
@@ -241,11 +241,12 @@ def omega_I(I, n: int) -> SignedPermutation:
     Its inverse reads, in one-line notation, as the complement ascending
     followed by I descending.  It is ``w1_element``'s word with every sign +1.
     """
-    return SignedPermutation(w1_element(I, n).word, (1,) * n)
+    sigma = w1_element(I, n)
+    return SignedPermutation(sigma.word, (1,) * sigma.n)
 
 
 def _validate_subset(I, n: int) -> frozenset[int]:
-    I = frozenset(int(i) for i in I)
+    I = frozenset(_integer(i, "element of I", float("-inf")) for i in I)
     if not I <= set(range(1, n + 1)):
         raise ValueError(f"I={sorted(I)} is not a subset of 1..{n}")
     return I
@@ -257,6 +258,7 @@ def w1_element(I, n: int) -> SignedPermutation:
     The word is omega_I, built by inverting its one-line inverse: the
     complement of I ascending, then I descending.
     """
+    n = _integer(n, "n")
     I = _validate_subset(I, n)
     inverse = [j for j in range(1, n + 1) if j not in I] + sorted(I, reverse=True)
     word = [0] * n
@@ -395,6 +397,7 @@ def dim_so(highest: Weight, n: int) -> int:
     Product over positive roots of <L + rho, a> / <rho, a>, evaluated as an
     exact integer quotient.
     """
+    n = _integer(n, "n", 1)
     if highest.n != n:
         raise ValueError(f"weight rank {highest.n} does not match n={n}")
     if not highest.is_dominant():
@@ -414,7 +417,7 @@ def dim_so(highest: Weight, n: int) -> int:
 
 def dim_gl(lam, n: int) -> int:
     """Dimension of the gl(n) module with highest weight lambda (hook-content)."""
-    lam = as_partition(lam)
+    lam, n = as_partition(lam), _integer(n, "n")
     if len(lam) > n:
         raise ValueError(f"{lam!r} has more than {n} rows")
     conj = lam.conjugate()

@@ -35,7 +35,7 @@ from parafock.partitions import (
 )
 from parafock.polyring import MultiPoly, TruncatedSeries, expand_inverse_product
 from parafock.schur import SchurContext, hook_schur, schur, schur_sum
-from parafock.weyl import RootSystemB
+from parafock.weyl import RootSystemB, Weight, dim_gl, dim_so, omega_I, w1_element
 
 X = MultiPoly.variable(1, 0)
 
@@ -55,6 +55,12 @@ SITES = [
     ("hook_condition.n", "n", 0, False, lambda v: hook_condition(Partition([2, 2, 1]), v, 1)),
     ("hook_condition.m", "m", 0, False, lambda v: hook_condition(Partition([3, 3, 2]), 1, v)),
     ("MultiPoly.nvars", "nvars", 0, False, lambda v: MultiPoly(v)),
+    ("MultiPoly.zero", "nvars", 0, False, lambda v: MultiPoly.zero(v)),
+    ("MultiPoly.one", "nvars", 0, False, lambda v: MultiPoly.one(v)),
+    ("MultiPoly.constant.nvars", "nvars", 0, False, lambda v: MultiPoly.constant(v, 2)),
+    ("MultiPoly.variable.nvars", "nvars", 0, False, lambda v: MultiPoly.variable(v, 0)),
+    ("MultiPoly.variable.index", "variable index", -math.inf, False,
+     lambda v: MultiPoly.variable(4, v)),
     ("MultiPoly.exponent", "exponent", -math.inf, False, lambda v: MultiPoly(1, {(v,): 1})),
     ("MultiPoly.coefficient", "coefficient", -math.inf, False,
      lambda v: MultiPoly(1, {(2,): v})),
@@ -75,6 +81,19 @@ SITES = [
      lambda v: schur_sum(("max_columns", 1), SchurContext(2), v)),
     ("schur_sum.p", "p", 0, False, lambda v: schur_sum(("hook", v), SchurContext(1, 1), 4)),
     ("RootSystemB.rank", "rank", 1, False, lambda v: RootSystemB(v).positive_roots),
+    ("Weight.zero", "n", 0, False, lambda v: Weight.zero(v)),
+    ("Weight.basis.n", "n", 0, False, lambda v: Weight.basis(1, v)),
+    ("Weight.basis.index", "index", -math.inf, False, lambda v: Weight.basis(v, 3)),
+    ("Weight.rho", "n", 0, False, lambda v: Weight.rho(v)),
+    ("Weight.p_theta.n", "n", 0, False, lambda v: Weight.p_theta(v, 1)),
+    ("Weight.p_theta.p", "p", 0, False, lambda v: Weight.p_theta(2, v)),
+    ("omega_I.n", "n", 0, False, lambda v: omega_I([1], v)),
+    ("w1_element.n", "n", 0, False, lambda v: w1_element([1], v)),
+    ("w1_element.I", "element of I", -math.inf, False, lambda v: w1_element([v], 3)),
+    ("dim_so.n", "n", 1, False, lambda v: dim_so(Weight.rho(v), v)),
+    ("dim_gl.n", "n", 0, False, lambda v: dim_gl([1], v)),
+    ("as_partition.part", "part", -math.inf, False,
+     lambda v: schur([v, 1], SchurContext(2))),
     ("cohomology_via_w1.n", "n", 1, False, lambda v: cohomology_via_w1(v, 1)),
     ("cohomology_via_w1.p", "p", 0, False, lambda v: cohomology_via_w1(2, v)),
     ("cohomology_via_partitions.n", "n", 1, False, lambda v: cohomology_via_partitions(v, 1)),
@@ -172,6 +191,15 @@ DEFECTS = {
     "multipoly_fractional_exponent": lambda: MultiPoly(1, {(2.5,): 1}),
     "multipoly_fractional_coefficient": lambda: MultiPoly(1, {(2,): 2.5}),
     "multipoly_fractional_constant": lambda: MultiPoly.constant(1, 0.5),
+    "p_theta_fractional_p": lambda: Weight.p_theta(2, 1.5),
+    "dim_gl_fractional_n": lambda: dim_gl([1], 2.5),
+    "w1_element_fractional_n": lambda: w1_element([1], 1.5),
+    "w1_element_fractional_element": lambda: w1_element([1.5], 2),
+    "zero_weight_fractional_n": lambda: Weight.zero(1.5),
+    "rho_fractional_n": lambda: Weight.rho(2.5),
+    "basis_fractional_index": lambda: Weight.basis(1.5, 2),
+    "variable_fractional_index": lambda: MultiPoly.variable(2, 0.5),
+    "schur_fractional_part": lambda: schur([2.5, 1], SchurContext(2)),
 }
 
 
@@ -184,6 +212,24 @@ def test_former_defects_raise(call):
 def test_former_crashes_on_whole_floats_now_run():
     assert verify_parafermion_identity(2.0, 1).to_json_obj()["n"] == 2
     assert enumerate_self_conjugate_in_square(3, 8.0) == enumerate_self_conjugate_in_square(3, 8)
+    assert omega_I([1], 2.0) == omega_I([1], 2)
+    assert dim_so(Weight.zero(2), 2.0) == 1
+    assert MultiPoly.one(2.0) == MultiPoly.one(2)
+    assert MultiPoly.constant(2.0, 1) == MultiPoly.constant(2, 1)
+    assert MultiPoly.variable(2.0, 0) == MultiPoly.variable(2, 0)
+
+
+def test_whole_out_of_range_entries_keep_their_messages():
+    # an index, an element of I or a part that is whole but out of range is
+    # still refused by the check that knows the range
+    for call, message in [
+        (lambda: Weight.basis(0, 2), "index 0 out of range 1..2"),
+        (lambda: MultiPoly.variable(2, 2), "variable index 2 out of range for nvars=2"),
+        (lambda: w1_element([0], 3), "I=[0] is not a subset of 1..3"),
+        (lambda: schur([2, -1], SchurContext(2)), "parts must be non-negative, got [2, -1]"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_a_zero_bound_beside_an_infinite_one_leaves_the_empty_diagram():

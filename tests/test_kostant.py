@@ -17,7 +17,6 @@ from parafock.kostant import (
     CohomologyEntry,
     CohomologyTable,
     VerificationReport,
-    _denominator_orbits,
     _first_discrepancy,
     branching_character,
     cohomology_via_partitions,
@@ -31,6 +30,7 @@ from parafock.kostant import (
 from parafock.partitions import (
     FrobeniusForm,
     Partition,
+    augment_arms,
     enumerate_partitions,
     enumeration_key,
     frobenius_compose,
@@ -50,6 +50,7 @@ from parafock.weyl import (
     weight_monomial,
     _straighten_type_a,
 )
+from test_weyl import _phi_sigma_by_image
 
 
 # -- frozen tables ---------------------------------------------------------------
@@ -216,12 +217,7 @@ def _w1_table_by_images(n, p):
     for r in range(n + 1):
         for I in combinations(range(1, n + 1), r):
             sigma = w1_element(I, n)
-            moves = tuple((w - 1, s) for w, s in zip(sigma.word, sigma.signs))
-            phis = [
-                alpha
-                for alpha in rs.positive_roots
-                if tuple(s * alpha.coords[k] for k, s in moves) not in rs._pos_set
-            ]
+            phis = _phi_sigma_by_image(sigma, rs)
             assert all(rs.is_nilradical_root(x) for x in phis)
             w = kostant_weight(sigma, Weight.p_theta(n, p), n)
             shifted = w.reversed_negated() + Weight.p_theta(n, p)
@@ -429,13 +425,17 @@ def test_parafermion_reports_pass():
 # The whole-product oracle: the tests compare the verifiers, which never
 # expand the paraboson denominator, against it.
 def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
-    """The whole denominator, expanded: the product of its orbits."""
-    orbits = _denominator_orbits(n, symmetric)
-    return math.prod((f for orbit in orbits for f in orbit), start=MultiPoly.one(n))
+    """The whole denominator, expanded: the product of the 1 - x_i and the
+    1 - x_i x_j (i < j), and for the symmetric variant the 1 - x_i^2."""
+    one = MultiPoly.one(n)
+    factors = kostant._denominator_factors(n)
+    if symmetric:
+        factors += [one - MultiPoly.variable(n, i) ** 2 for i in range(n)]
+    return math.prod(factors, start=one)
 
 
 def test_parafermion_level_zero_reduces_to_pure_denominator():
-    from parafock.partitions import enumerate_self_conjugate_in_square, augment_arms
+    from parafock.partitions import enumerate_self_conjugate_in_square
 
     for n in (1, 2, 3):
         ctx = SchurContext(n)
@@ -681,33 +681,19 @@ def test_rank_seven_parafermion_passes_without_the_denominator(monkeypatch):
         raise AssertionError("the parafermion pass applied the denominator")
 
     monkeypatch.setattr(kostant, "_denominator_times", unreachable)
-    monkeypatch.setattr(kostant, "_denominator_orbits", unreachable)
     assert verify_parafermion_identity(7, 2).passed
 
 
-def test_denominator_orbits_are_symmetric_and_multiply_to_the_denominator():
-    # straightening moves each orbit's product past an alternant, one orbit
-    # at a time
+def test_paraboson_denominator_oracle_is_the_product_of_its_factors():
     for n in range(1, 6):
         one = MultiPoly.one(n)
         xs = [MultiPoly.variable(n, i) for i in range(n)]
         for symmetric in (False, True):
-            orbits = kostant._denominator_orbits(n, symmetric)
-            assert len(orbits) == 2 + symmetric
-            for orbit in orbits:
-                g = math.prod(orbit, start=one)
-                for i in range(n - 1):
-                    swap = list(range(n))
-                    swap[i], swap[i + 1] = i + 1, i
-                    # the swap permutes the orbit's factors, so fixes their product
-                    assert {f.permute_variables(swap) for f in orbit} == set(orbit)
-                    assert g.permute_variables(swap) == g, (n, symmetric, i)
             factors = [one - x for x in xs]
             factors += [one - xs[i] * xs[j] for i in range(n) for j in range(i + 1, n)]
             if symmetric:
                 factors += [one - x * x for x in xs]
             whole = math.prod(factors, start=one)
-            assert math.prod((f for orbit in orbits for f in orbit), start=one) == whole
             assert _paraboson_denominator(n, symmetric) == whole
 
 
@@ -731,8 +717,8 @@ def test_verifiers_never_expand_the_whole_denominator(monkeypatch):
     assert verify_paraboson_identity(n, 3, D, "symmetric").status == "fail"
     monkeypatch.undo()
     assert products
-    # every product stops at degree D plus |delta|, in half units ...
-    assert max(d for _, _, d in products) <= 2 * D + n * (n - 1)
+    # every product stops at degree D plus |delta|, in whole units ...
+    assert max(d for _, _, d in products) <= D + n * (n - 1) // 2
     # ... and multiplies in one two-term factor at a time, so no orbit's
     # product is ever built
     assert all(min(size_a, size_b) <= 2 for size_a, size_b, _ in products)
@@ -862,6 +848,31 @@ def test_paraboson_builds_only_entries_that_fit_the_degree(monkeypatch):
     # the 6 x 6 square holds 2^6 diagrams; arm sets with sum(2a + 2) <= 10 are 10
     assert len(built) == 10
     assert all(mu.size + frobenius_decompose(mu).rank <= 10 for mu in built)
+
+
+def test_resolution_character_matches_the_whole_table():
+    # every entry of the unbounded table expanded, then truncated at D
+    for n in (1, 2, 3):
+        for p in range(3):
+            table = cohomology_via_partitions(n, p)
+            for D in (0, 3, 6):
+                universal = polyring.expand_inverse_product(kostant._denominator_factors(n), D)
+                for k in range(table.max_degree() + 1):
+                    numerator = sum(
+                        (schur(e.diagram, SchurContext(n)) for e in table.entries_at(k)),
+                        MultiPoly.zero(n),
+                    )
+                    expected = TruncatedSeries(numerator, math.inf) * universal
+                    assert resolution_character(n, p, k, D) == expected, (n, p, k, D)
+
+
+def test_resolution_character_builds_only_entries_that_fit_the_degree(monkeypatch):
+    built = _spy_on_square_walk(monkeypatch)
+    assert resolution_character(8, 2, 1, 6).poly
+    # of the 2^8 diagrams in the 8 x 8 square, only the empty one and the
+    # arm sets {0} and {1} have |mu^(2)| = sum(2a + 3) <= 6
+    assert len(built) == 3
+    assert all(augment_arms(mu, 2).size <= 6 for mu in built)
 
 
 def test_parafermion_builds_no_jacobi_trudi_minors(monkeypatch):

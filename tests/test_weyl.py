@@ -101,19 +101,25 @@ def test_weight_monomial_uses_inverse_exponential_convention():
 
 # -- root system ----------------------------------------------------------------
 
+def _positive_root_set(rs):
+    """The coordinates of every positive root, for membership tests."""
+    return frozenset(alpha.coords for alpha in rs.positive_roots)
+
+
 def test_root_counts_and_membership():
     for n in range(1, 7):
         rs = RootSystemB(n)
+        positive = _positive_root_set(rs)
         assert len(rs.positive_roots) == n * n
         assert len(rs.nilradical_roots) == n * (n + 1) // 2
         for alpha in rs.nilradical_roots:
-            assert alpha.coords in rs._pos_set
+            assert alpha.coords in positive
             assert all(c >= 0 for c in alpha.coords)
-        assert (-Weight.basis(1, n)).coords not in rs._pos_set
+        assert (-Weight.basis(1, n)).coords not in positive
     rs = RootSystemB(2)
     e1, e2 = Weight.basis(1, 2), Weight.basis(2, 2)
     assert rs.is_nilradical_root(e1 + e2)
-    assert (e1 - e2).coords in rs._pos_set
+    assert (e1 - e2).coords in _positive_root_set(rs)
     assert not rs.is_nilradical_root(e1 - e2)
     with pytest.raises(ValueError):
         RootSystemB(0)
@@ -255,10 +261,11 @@ def _phi_sigma_by_image(sigma, rs):
     if sigma.n != rs.n:
         raise ValueError(f"rank mismatch: {sigma.n} vs {rs.n}")
     moves = tuple((w - 1, s) for w, s in zip(sigma.word, sigma.signs))
+    positive = _positive_root_set(rs)
     return [
         alpha
         for alpha in rs.positive_roots
-        if tuple(s * alpha.coords[k] for k, s in moves) not in rs._pos_set
+        if tuple(s * alpha.coords[k] for k, s in moves) not in positive
     ]
 
 
