@@ -31,7 +31,7 @@ from .kostant import (
 )
 from .partitions import Partition, _integer, enumerate_partitions
 from .schur import SchurContext, hook_schur, schur
-from .weyl import ALTERNANT_RANK_LIMIT, Weight, dim_gl, dim_so, w1_element
+from .weyl import ALTERNANT_RANK_LIMIT, Weight, _w1_word, dim_gl, dim_so
 
 DEGREE_ENV = "PARAFOCK_DEGREE"
 DEFAULT_DEGREES = {"paraboson": 10, "parastat": 8}
@@ -112,8 +112,8 @@ def _cmd_w1(args) -> int:
     columns = ("I", "word", "signs", "num_phi", "mu")
     rows = []
     for e in sorted(cohomology_via_w1(n, 0).entries, key=lambda e: (len(e.source), e.source)):
-        sigma = w1_element(e.source, n)
-        rows.append((list(e.source), list(sigma.word), list(sigma.signs), e.k, e.diagram.to_json()))
+        word, signs = _w1_word(e.source, n)
+        rows.append((list(e.source), list(word), list(signs), e.k, e.diagram.to_json()))
     if args.format == "json":
         print(_dump([dict(zip(columns, row)) for row in rows]))
     else:

@@ -5,19 +5,19 @@ decomposes into gl(n) modules indexed by self-conjugate diagrams mu inside
 the n x n square, with k = (|mu| + r(mu)) / 2 and highest weight read from
 the arm-augmented diagram mu^(p) = (alpha + p | alpha), where mu =
 (alpha | alpha) has r diagonal boxes (Kostant's theorem).  Two independent
-routes produce the table, each reading every entry off its own index:
+routes produce the table, each building every entry once, off its own index:
 
 * ``cohomology_via_w1``: walk the 2^n minimal-length coset representatives
-  of the hyperoctahedral group, count the positive roots each one inverts
-  (``phi_sigma``), compute sigma(rho + p theta) - rho and reflect it to a
-  dominant diagram;
+  of the hyperoctahedral group as words and signs, count the positive roots
+  each one inverts (the index scan behind ``phi_sigma``), and read the
+  dominant diagram of sigma(rho + p theta) - rho off the word;
 * ``cohomology_via_partitions``: enumerate self-conjugate diagrams in the
   square.  Arm i runs along row i, so mu^(p) is mu with each of its first
   r rows lengthened by p.  Since |mu| = sum(2 alpha_i + 1) = 2 sum(alpha_i)
-  + r, |mu| + r is even and k = sum(alpha_i + 1), the number of boxes on
-  and right of the diagonal.  Given a bound on |mu^(p)| = sum(2 alpha_i +
-  1 + p), the enumeration opens only the arms that fit it, so a truncated
-  check builds the entries it compares and no others.
+  + r, |mu| + r is even and k = sum(alpha_i + 1) = sum_{i<r}(mu_i - i), the
+  number of boxes on and right of the diagonal.  Given a bound on |mu^(p)|
+  = sum(2 alpha_i + 1 + p), the enumeration opens only the arms that fit
+  it, so a truncated check builds the entries it compares and no others.
 
 On top of the tables sit exact verdicts for three Schur-polynomial
 identities (parafermionic, parabosonic, parastatistics) and for the
@@ -60,7 +60,6 @@ from .partitions import (
     _FrozenRecord,
     _Record,
     _integer,
-    augment_arms,
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
     enumeration_key,
@@ -78,14 +77,14 @@ from .weyl import (
     ALTERNANT_RANK_LIMIT,
     Weight,
     alternant,
-    phi_sigma,
     RootSystemB,
-    w1_element,
     weight_monomial,
     _check_alternant_rank,
+    _inverted,
     _is_weyl_invariant,
     _straighten,
     _straighten_type_a,
+    _w1_word,
 )
 
 __all__ = [
@@ -151,27 +150,27 @@ def cohomology_via_w1(n: int, p: int) -> CohomologyTable:
 
     The entry of sigma has degree |Phi_sigma| and weight
     w = sigma(rho + p theta) - rho, which is reflected to a dominant diagram
-    and shifted by the p/2 vacuum offset.
+    and shifted by the p/2 vacuum offset.  Both are read off sigma's word and
+    signs: sigma moves coordinate j to place q = word[j], which is row n - q
+    (0-based) of the diagram, rho_q + p/2 - signs[j] (rho + p theta)_j.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
     rs = RootSystemB(n)
-    vacuum = Weight.p_theta(n, p)
-    rho = Weight.rho(n)
-    top = rho + vacuum
+    top = range(2 * n - 1 + p, p, -2)  # rho + p theta
     table = CohomologyTable(n, p)
     for r in range(n + 1):
         for I in combinations(range(1, n + 1), r):
-            sigma = w1_element(I, n)
-            phis = phi_sigma(sigma, rs)
-            if not all(rs.is_nilradical_root(x) for x in phis):
+            word, signs = _w1_word(I, n)
+            inverted = _inverted(word, signs, rs)
+            if not rs._nil_indices.issuperset(inverted):
                 raise ArithmeticError(
                     f"representative for I={I} left the nilradical; convention bug"
                 )
-            w = sigma.apply(top) - rho
-            shifted = w.reversed_negated() + vacuum
-            table.entries.append(
-                CohomologyEntry(k=len(phis), diagram=shifted.to_partition(), source=I)
-            )
+            rows = [0] * n
+            for q, s, t in zip(word, signs, top):
+                rows[n - q] = (2 * (n - q) + 1 + p - s * t) // 2
+            diagram = Partition._of(tuple(x for x in rows if x))
+            table.entries.append(CohomologyEntry(k=len(inverted), diagram=diagram, source=I))
     table.sort()
     return table
 
@@ -181,9 +180,10 @@ def cohomology_via_partitions(n: int, p: int, max_size: int | None = None) -> Co
 
     The entry of mu (Frobenius rank r) has degree k = (|mu| + r) / 2 and
     diagram mu^(p), which is mu with each of its first r rows lengthened by
-    p (``augment_arms``).  With arms a_i, |mu| = sum(2 a_i + 1), so |mu| + r
-    is even and k = sum(a_i + 1): the boxes on and right of the diagonal,
-    which is the number of roots the matching coset representative inverts.
+    p (as ``augment_arms`` does).  With arms a_i = mu_i - i - 1 (rows from
+    i = 0), |mu| = sum(2 a_i + 1), so |mu| + r is even and k = sum(a_i + 1):
+    the boxes on and right of the diagonal, which is the number of roots the
+    matching coset representative inverts.  Both are read off mu's rows.
 
     With ``max_size`` the table holds only the entries with |mu^(p)| <=
     max_size, in the same order as in the whole table, and builds no other.
@@ -191,12 +191,10 @@ def cohomology_via_partitions(n: int, p: int, max_size: int | None = None) -> Co
     n, p = _integer(n, "n", 1), _integer(p, "p")
     table = CohomologyTable(n, p)
     for mu in enumerate_self_conjugate_in_square(n, max_size, p):
-        k, rem = divmod(mu.size + mu.frobenius_rank(), 2)
-        if rem:
-            raise ArithmeticError(f"|mu|+r odd for self-conjugate {mu!r}; bug")
-        table.entries.append(
-            CohomologyEntry(k=k, diagram=augment_arms(mu, p), source=mu)
-        )
+        rows, r = mu.parts, mu.frobenius_rank()
+        k = sum(rows[:r]) - r * (r - 1) // 2
+        diagram = Partition._of((*(x + p for x in rows[:r]), *rows[r:]))
+        table.entries.append(CohomologyEntry(k=k, diagram=diagram, source=mu))
     table.sort()
     return table
 
@@ -326,26 +324,12 @@ def _first_discrepancy(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
 
 
 def _report(
-    identity: str,
-    n: int,
-    m: int | None,
-    p: int,
-    degree: int | None,
-    disc: dict | None,
-    t0: float,
-    **extra,
+    identity: str, n: int, m: int | None, p: int, degree: int | None, disc: dict | None,
+    t0: float, **extra,
 ) -> VerificationReport:
-    return VerificationReport(
-        identity=identity,
-        n=n,
-        m=m,
-        p=p,
-        degree=degree,
-        status="pass" if disc is None else "fail",
-        first_discrepancy=disc,
-        millis=int((time.perf_counter() - t0) * 1000),
-        **extra,
-    )
+    status = "pass" if disc is None else "fail"
+    millis = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport(identity, n, m, p, degree, status, disc, millis, **extra)
 
 
 def verify_weyl_character(

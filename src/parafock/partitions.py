@@ -73,6 +73,13 @@ class Partition:
             raise ValueError(f"parts must be non-negative, got {ps}")
         self.parts: tuple[int, ...] = tuple(ps)
 
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap rows the library computed itself, without copying or checking."""
+        lam = object.__new__(cls)
+        lam.parts = parts
+        return lam
+
     @property
     def size(self) -> int:
         """Number of boxes."""
@@ -279,7 +286,7 @@ def enumerate_self_conjugate_in_square(
 
     def walk(top: tuple[int, ...], below: int, room: int) -> None:
         r = len(top)
-        out.append(Partition(top + _column_lengths(top)[r:]))
+        out.append(Partition._of(top + _column_lengths(top)[r:]))
         # arms a < below with 2a + 1 + p <= room
         for a in range(min(below, (room - 1 - p) // 2 + 1)):
             walk(top + (a + r + 1,), a, room - 2 * a - 1 - p)

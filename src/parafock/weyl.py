@@ -221,9 +221,9 @@ class RootSystemB:
                 pos.append(ei - ej)
                 pos.append(ei + ej)
         self.positive_roots: tuple[Weight, ...] = tuple(pos)
-        self.nilradical_roots: tuple[Weight, ...] = tuple(
-            w for w in pos if all(c >= 0 for c in w.coords)
-        )
+        # indices into positive_roots of the nilradical roots e_i and e_i + e_j
+        self._nil_indices = frozenset(x for x, w in enumerate(pos) if min(w.coords) >= 0)
+        self.nilradical_roots = tuple(pos[x] for x in sorted(self._nil_indices))
         self._nil_set = frozenset(w.coords for w in self.nilradical_roots)
         # Per positive root, its first and last nonzero coordinates with their
         # values, (i, c, j, d); e_i has just one, read twice.
@@ -245,26 +245,26 @@ def omega_I(I, n: int) -> SignedPermutation:
     return SignedPermutation(sigma.word, (1,) * sigma.n)
 
 
-def _validate_subset(I, n: int) -> frozenset[int]:
+def w1_element(I, n: int) -> SignedPermutation:
+    """Coset representative: flip signs on I, then rearrange by omega_I."""
+    n = _integer(n, "n")
     I = frozenset(_integer(i, "element of I", float("-inf")) for i in I)
     if not I <= set(range(1, n + 1)):
         raise ValueError(f"I={sorted(I)} is not a subset of 1..{n}")
-    return I
+    return SignedPermutation(*_w1_word(I, n))
 
 
-def w1_element(I, n: int) -> SignedPermutation:
-    """Coset representative: flip signs on I, then rearrange by omega_I.
+def _w1_word(I, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Word and signs of ``w1_element(I, n)`` for I already inside 1..n.
 
     The word is omega_I, built by inverting its one-line inverse: the
     complement of I ascending, then I descending.
     """
-    n = _integer(n, "n")
-    I = _validate_subset(I, n)
     inverse = [j for j in range(1, n + 1) if j not in I] + sorted(I, reverse=True)
     word = [0] * n
     for pos, j in enumerate(inverse, start=1):
         word[j - 1] = pos
-    return SignedPermutation(word, (-1 if j in I else 1 for j in range(1, n + 1)))
+    return tuple(word), tuple(-1 if j in I else 1 for j in range(1, n + 1))
 
 
 def phi_sigma(sigma: SignedPermutation, rs: RootSystemB) -> list[Weight]:
@@ -281,21 +281,29 @@ def phi_sigma(sigma: SignedPermutation, rs: RootSystemB) -> list[Weight]:
     """
     if sigma.n != rs.n:
         raise ValueError(f"rank mismatch: {sigma.n} vs {rs.n}")
+    return [rs.positive_roots[x] for x in _inverted(sigma.word, sigma.signs, rs)]
+
+
+def _inverted(word, signs, rs: RootSystemB) -> list[int]:
+    """Indices into ``rs.positive_roots`` of ``phi_sigma`` for sigma = (word, signs)."""
     # sigma^{-1}(e_{k+1}) = sign[k] * e_{place[k]+1}
     place = [0] * rs.n
     sign = [0] * rs.n
-    for j, (w, s) in enumerate(zip(sigma.word, sigma.signs)):
+    for j, (w, s) in enumerate(zip(word, signs)):
         place[w - 1] = j
         sign[w - 1] = s
     return [
-        alpha
-        for alpha, (i, c, j, d) in zip(rs.positive_roots, rs._supports)
+        x
+        for x, (i, c, j, d) in enumerate(rs._supports)
         if (sign[i] * c if place[i] <= place[j] else sign[j] * d) < 0
     ]
 
 
 def kostant_weight(sigma: SignedPermutation, highest: Weight, n: int) -> Weight:
     """sigma(rho + highest) - rho."""
+    for m in (sigma.n, highest.n):
+        if m != n:
+            raise ValueError(f"rank mismatch: {m} vs {n}")
     rho = Weight.rho(n)
     return sigma.apply(rho + highest) - rho
 
@@ -321,6 +329,7 @@ def alternant(chi: Weight, max_rank: int = ALTERNANT_RANK_LIMIT) -> MultiPoly:
 
 
 def _check_alternant_rank(n: int, max_rank: int) -> None:
+    max_rank = _integer(max_rank, "max_rank")
     if n > max_rank:
         raise ValueError(
             f"rank {n} exceeds the alternant limit {max_rank}; raise max_rank to force"

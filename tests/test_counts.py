@@ -35,7 +35,7 @@ from parafock.partitions import (
 )
 from parafock.polyring import MultiPoly, TruncatedSeries, expand_inverse_product
 from parafock.schur import SchurContext, hook_schur, schur, schur_sum
-from parafock.weyl import RootSystemB, Weight, dim_gl, dim_so, omega_I, w1_element
+from parafock.weyl import RootSystemB, Weight, alternant, dim_gl, dim_so, omega_I, w1_element
 
 X = MultiPoly.variable(1, 0)
 
@@ -109,6 +109,8 @@ SITES = [
      lambda v: resolution_character(2, 1, 1, v)),
     ("weyl_character.n", "n", 1, False, lambda v: verify_weyl_character(v, 1)),
     ("weyl_character.p", "p", 0, False, lambda v: verify_weyl_character(2, v)),
+    ("weyl_character.max_rank", "max_rank", 0, False, lambda v: verify_weyl_character(1, 1, v)),
+    ("alternant.max_rank", "max_rank", 0, False, lambda v: alternant(Weight.rho(1), v)),
     ("parafermion.n", "n", 1, False, lambda v: verify_parafermion_identity(v, 1)),
     ("parafermion.p", "p", 0, False, lambda v: verify_parafermion_identity(2, v)),
     ("paraboson.n", "n", 1, False, lambda v: verify_paraboson_identity(v, 1, 4)),
@@ -200,6 +202,13 @@ DEFECTS = {
     "basis_fractional_index": lambda: Weight.basis(1.5, 2),
     "variable_fractional_index": lambda: MultiPoly.variable(2, 0.5),
     "schur_fractional_part": lambda: schur([2.5, 1], SchurContext(2)),
+    # a NaN bound let a rank-3 alternant build all 48 terms past the guard
+    "alternant_nan_max_rank": lambda: alternant(Weight.rho(3), math.nan),
+    "alternant_string_max_rank": lambda: alternant(Weight.rho(3), "7"),
+    "alternant_fractional_max_rank": lambda: alternant(Weight.rho(3), 1.5),
+    "weyl_character_nan_max_rank": lambda: verify_weyl_character(2, 1, math.nan),
+    "weyl_character_string_max_rank": lambda: verify_weyl_character(2, 1, "7"),
+    "weyl_character_fractional_max_rank": lambda: verify_weyl_character(2, 1, 1.5),
 }
 
 

@@ -250,15 +250,25 @@ def _partition_table_by_frobenius(n, p):
 
 
 def test_both_routes_match_their_round_trip_constructions():
+    cases = [(n, p) for n in range(1, 9) for p in range(4)]
+    for n, p in cases + [(n, p) for n in (9, 10) for p in (0, 2)]:
+        for route, oracle in (
+            (cohomology_via_w1, _w1_table_by_images),
+            (cohomology_via_partitions, _partition_table_by_frobenius),
+        ):
+            got, want = route(n, p), oracle(n, p)
+            assert (got.n, got.p) == (want.n, want.p)
+            assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+
+
+def test_bounded_partition_route_matches_the_filtered_oracle():
+    # the oracle's whole table, cut at |mu^(p)| <= D, in the oracle's order
     for n in range(1, 9):
         for p in range(4):
-            for route, oracle in (
-                (cohomology_via_w1, _w1_table_by_images),
-                (cohomology_via_partitions, _partition_table_by_frobenius),
-            ):
-                got, want = route(n, p), oracle(n, p)
-                assert (got.n, got.p) == (want.n, want.p)
-                assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+            whole = _partition_table_by_frobenius(n, p).entries
+            for D in (0, 3, 7, 12):
+                want = [e for e in whole if e.diagram.size <= D]
+                assert cohomology_via_partitions(n, p, D).entries == want, (n, p, D)
 
 
 def test_partition_route_makes_no_frobenius_round_trip(monkeypatch):

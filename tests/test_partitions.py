@@ -285,10 +285,16 @@ def test_bounded_square_enumeration_builds_only_what_it_returns(monkeypatch):
             built.append(1)
             super().__init__(parts)
 
+        @classmethod
+        def _of(cls, parts):
+            built.append(1)
+            return super()._of(parts)
+
     monkeypatch.setattr(partitions, "Partition", Counted)
     # the 20 x 20 square holds 2^20 diagrams; at p = 1, 371 have |mu^(1)| <= 40
     out = enumerate_self_conjugate_in_square(20, 40, 1)
     assert len(out) == len(built) == 371
+    assert all(type(mu) is Counted for mu in out)
 
 
 def test_degree_formula_is_integral_in_six_square():

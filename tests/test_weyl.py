@@ -1,6 +1,7 @@
 """Signed permutations, the abelian nilradical, alternants, dimension formulas."""
 
 import random
+import re
 from itertools import combinations, permutations, product
 
 import pytest
@@ -292,6 +293,17 @@ def test_shifted_action_frozen():
     assert kostant_weight(
         SignedPermutation.identity(2), Weight.p_theta(2, 1), 2
     ) == Weight.p_theta(2, 1)
+
+
+def test_kostant_weight_checks_every_rank():
+    sigma = w1_element({1}, 2)
+    for call, message in [
+        (lambda: kostant_weight(sigma, Weight.zero(2), 3), "rank mismatch: 2 vs 3"),
+        (lambda: kostant_weight(sigma, Weight.zero(3), 2), "rank mismatch: 3 vs 2"),
+        (lambda: kostant_weight(w1_element({1}, 3), Weight.zero(2), 2), "rank mismatch: 3 vs 2"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 # -- alternants ------------------------------------------------------------------------
