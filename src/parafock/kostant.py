@@ -62,14 +62,13 @@ from .partitions import (
     _integer,
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
-    enumeration_key,
     hook_condition,
 )
 from .polyring import (
     MultiPoly,
     TruncatedSeries,
-    _mul_terms,
     _term_key,
+    _times_binomial,
     expand_inverse_product,
 )
 from .schur import SchurContext, _schur_expansion, schur_sum
@@ -129,7 +128,12 @@ class CohomologyTable(_Record):
         self.entries = [] if entries is None else entries
 
     def sort(self) -> None:
-        self.entries.sort(key=lambda e: (e.k, enumeration_key(e.diagram)))
+        """Order by degree k, then as ``enumeration_key`` orders diagrams: by
+        size, then by rows in descending order.  Two diagrams of one size
+        are never a prefix of one another, so two stable sorts, on the rows
+        and then on (k, size), give that order."""
+        self.entries.sort(key=lambda e: e.diagram.parts, reverse=True)
+        self.entries.sort(key=lambda e: (e.k, sum(e.diagram.parts)))
 
     def degree_diagram_pairs(self) -> list[tuple[int, tuple[int, ...]]]:
         """Multiset of (k, diagram) pairs, the route-independent content."""
@@ -207,16 +211,11 @@ def branching_character(n: int, p: int) -> MultiPoly:
     return schur_sum(("max_columns", p), ctx, math.inf).poly
 
 
-def _denominator_factors(n: int, m: int = 0) -> list[MultiPoly]:
-    """Factors 1 - x_i over all n + m variables and 1 - x_i x_j (i < j) over
-    same-parity pairs."""
-    nv = n + m
-    one = MultiPoly.one(nv)
-    fs = [one - MultiPoly.variable(nv, i) for i in range(nv)]
-    for block in (range(0, n), range(n, nv)):
-        for i, j in combinations(block, 2):
-            fs.append(one - MultiPoly.variable(nv, i) * MultiPoly.variable(nv, j))
-    return fs
+def _denominator_factors(n: int) -> list[MultiPoly]:
+    """Factors 1 - x_i and 1 - x_i x_j (i < j) in n variables."""
+    one = MultiPoly.one(n)
+    xs = [MultiPoly.variable(n, i) for i in range(n)]
+    return [one - x for x in xs] + [one - xs[i] * xs[j] for i, j in combinations(range(n), 2)]
 
 
 def _euler_characteristic(entries) -> dict[Partition, int]:
@@ -527,16 +526,17 @@ def _denominator_times(
     G a_v = A(G x^v), and G times the sum is A(G sum c_nu x^{nu+delta}) /
     a_delta.  The denominator's S_n orbits of factors are such G: the 1-x_i,
     the 1-x_i x_j (i < j) and, for the symmetric variant, the 1-x_i^2.  Each
-    factor is built in place as the two terms of 1 - x^e and multiplied in
-    by ``_mul_terms``; only a whole orbit need be symmetric.  After an orbit,
-    ``_straightened`` writes each a_v once as +-a_{nu+delta}, with
+    factor 1 - x^e is multiplied in by the factor step ``_times_binomial``,
+    which builds no factor; only a whole orbit need be symmetric.  After an
+    orbit, ``_straightened`` writes each a_v once as +-a_{nu+delta}, with
     |nu| = |v| - |delta|, or 0 (Macdonald I.3), which merges the monomials
     that land on one s_nu.  G_1 = prod(1-x_i) goes first: its alternating
     Pieri terms largely cancel, which shrinks the sum before the many
     factors of G_2 = prod_{i<j}(1-x_i x_j) meet it.  No factor has a
     negative exponent, so a monomial above the cut degree + |delta| =
-    degree + n(n-1)/2 gives only s_nu above the bound, and every product
-    drops it.  Neither an orbit nor the whole denominator is ever expanded.
+    degree + n(n-1)/2 gives only s_nu above the bound, and every step drops
+    it; the carry starts within the cut (|nu| <= degree), as the step
+    requires.  Neither an orbit nor the whole denominator is ever expanded.
     """
     cap = math.inf if degree is None else degree
     coeffs: dict[tuple[int, ...], int] = {}
@@ -546,7 +546,6 @@ def _denominator_times(
             coeffs[lam.parts] = coeffs.get(lam.parts, 0) + 1
     delta = range(n - 1, -1, -1)
     cut = cap + n * (n - 1) // 2
-    zero = (0,) * n
     # each factor 1 - x^e named by the variables in e: x_i, x_i x_j, x_i^2
     orbits = [[(i,) for i in range(n)], list(combinations(range(n), 2))]
     if symmetric:
@@ -558,7 +557,7 @@ def _denominator_times(
         }
         for variables in orbit:
             e = tuple(variables.count(i) for i in range(n))
-            terms = _mul_terms(terms, {zero: 1, e: -1}, cut)
+            terms = _times_binomial(terms, e, -1, cut)
         coeffs = _straightened(terms.items(), _straighten_type_a)
     return coeffs
 
@@ -597,12 +596,14 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     in the odd variables.
 
     The Euler sum reads a cohomology table bounded at |mu^(p)| <= D, which
-    builds only the entries that can appear below the cap.  Each side
-    starts from its sum truncated at degree D and takes its factors one at
-    a time (1 + x_i x_j on the left; 1 - x_i, then 1 - x_i x_j on the
-    right).  No factor has a negative exponent, so dropping the terms
-    above D at every step leaves the degree-D truncation of the whole
-    product, and neither product of factors is ever expanded.
+    builds only the entries that can appear below the cap.  Each side is
+    carried as a plain term dict, starting from its sum truncated at degree
+    D, and takes its factors one at a time through the factor step
+    ``_times_binomial`` (1 + x_i x_j on the left; 1 - x_i, then 1 - x_i x_j
+    on the right), which builds no factor.  No factor has a negative
+    exponent, so dropping the terms above D at every step leaves the
+    degree-D truncation of the whole product, and neither product of
+    factors is ever expanded.
     """
     n, m, p = _integer(n, "n"), _integer(m, "m"), _integer(p, "p")
     if n + m < 1:
@@ -616,14 +617,21 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     # cuts nothing that the budget keeps.
     table = cohomology_via_partitions(max((D + 1 - p) // 2, 1), p, D)
     kept = [e for e in table.entries if hook_condition(e.diagram, n, m)]
+
+    def times_factors(terms, c, factors):
+        # each factor 1 + c x^e named by the variables in e: x_i or x_i x_j
+        for variables in factors:
+            e = tuple(2 * variables.count(k) for k in range(nv))
+            terms = _times_binomial(terms, e, c, 2 * D)
+        return terms
+
+    # hs_{mu^(p)} is homogeneous of degree |mu^(p)| <= D, so both starting
+    # sums lie within the cut, as the factor step requires
     euler = _schur_expansion(_euler_characteristic(kept).items(), ctx, hook=True)
-    one = MultiPoly.one(nv)
-    mixed = [
-        one + MultiPoly.variable(nv, i) * MultiPoly.variable(nv, j)
-        for i in range(n)
-        for j in range(n, nv)
-    ]
-    lhs = math.prod(mixed, start=TruncatedSeries(euler, D))
-    rhs = math.prod(_denominator_factors(n, m), start=schur_sum(("hook", p), ctx, D))
-    disc = _first_discrepancy(lhs.poly, rhs.poly)
+    lhs = times_factors(euler.terms, 1, product(range(n), range(n, nv)))
+    same = [*combinations(range(n), 2), *combinations(range(n, nv), 2)]
+    rhs = times_factors(
+        schur_sum(("hook", p), ctx, D).poly.terms, -1, [*((i,) for i in range(nv)), *same]
+    )
+    disc = _first_discrepancy(MultiPoly._of(nv, lhs), MultiPoly._of(nv, rhs))
     return _report("parastat", n, m, p, D, disc, t0, conjecture=True)

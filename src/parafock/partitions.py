@@ -24,6 +24,7 @@ which the other modules import from here, the lowest layer.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 
 __all__ = [
     "Partition",
@@ -277,6 +278,12 @@ def enumerate_self_conjugate_in_square(
     2a + 1 + p boxes to mu^(p), so the walk adds arms in decreasing order
     and opens only those that fit the remaining budget: every arm set it
     visits is one it returns.
+
+    At each depth the walk tries the largest arm first, so it visits the
+    diagrams of one size in descending order of their rows: two of them
+    part at the first arm where their sets differ, and neither set extends
+    the other, since an extension is larger.  A stable sort on |mu|, which
+    the walk carries, then gives the enumeration order.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
     budget = n * (n + p)  # every arm 0..n-1: |mu^(p)| = sum(2a + 1 + p)
@@ -284,16 +291,16 @@ def enumerate_self_conjugate_in_square(
         budget = min(_integer(max_size, "max_size", infinite=True), budget)
     out = []
 
-    def walk(top: tuple[int, ...], below: int, room: int) -> None:
+    def walk(top: tuple[int, ...], below: int, room: int, size: int) -> None:
         r = len(top)
-        out.append(Partition._of(top + _column_lengths(top)[r:]))
-        # arms a < below with 2a + 1 + p <= room
-        for a in range(min(below, (room - 1 - p) // 2 + 1)):
-            walk(top + (a + r + 1,), a, room - 2 * a - 1 - p)
+        out.append((size, Partition._of(top + _column_lengths(top)[r:])))
+        # arms a < below with 2a + 1 + p <= room, largest first
+        for a in range(min(below, (room - 1 - p) // 2 + 1) - 1, -1, -1):
+            walk(top + (a + r + 1,), a, room - 2 * a - 1 - p, size + 2 * a + 1)
 
-    walk((), n, budget)
-    out.sort(key=enumeration_key)
-    return out
+    walk((), n, budget, 0)
+    out.sort(key=itemgetter(0))
+    return [mu for _, mu in out]
 
 
 def _column_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -19,7 +19,10 @@ are restricted to non-negative exponents so that truncation by total degree
 is sound.
 
 Both classes multiply through one term-pair loop, ``_mul_terms``, which
-drops every term above a degree cut (none for an exact product).  The
+drops every term above a degree cut (none for an exact product).  A
+truncated check that multiplies in one two-term factor 1 + c x^e at a
+time takes the factor step ``_times_binomial`` instead, which copies the
+terms once and adds only the shifted copies that fit the cut.  The
 public constructors check outside input: whole exponents and
 coefficients, exponent lengths, non-negative series exponents, the degree
 bound, each whole number through ``partitions._integer``.  Results the
@@ -82,6 +85,26 @@ def _mul_terms(a: dict, b: dict, cut=math.inf) -> dict:
                 out[e] = s
             else:
                 del out[e]
+    return out
+
+
+def _times_binomial(terms: dict, e: tuple[int, ...], c: int, cut=math.inf) -> dict:
+    """terms times (1 + c x^e), without the products whose exponent sum is
+    above cut; every term of ``terms`` must lie within the cut already.
+
+    The terms are copied once for the 1, and only those that fit under
+    cut - |e| add a shifted copy; ``terms`` itself is left as it is.
+    """
+    out = dict(terms)
+    room = cut - sum(e)
+    for ea, ca in terms.items():
+        if sum(ea) <= room:
+            k = tuple(map(add, ea, e))
+            s = out.get(k, 0) + c * ca
+            if s:
+                out[k] = s
+            else:
+                del out[k]
     return out
 
 

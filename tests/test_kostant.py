@@ -82,6 +82,24 @@ def test_table_frozen_rank_three_level_zero():
     assert cohomology_via_w1(3, 0).degree_diagram_pairs() == expected
 
 
+def test_tables_are_ordered_by_degree_then_enumeration_key():
+    def key(e):
+        return (e.k, enumeration_key(e.diagram))
+
+    for n in range(1, 9):
+        for p in range(4):
+            for route in (cohomology_via_w1, cohomology_via_partitions):
+                table = route(n, p)
+                assert table.entries == sorted(table.entries, key=key), (route, n, p)
+                # sort() restores the order from any other, here the reverse one
+                table.entries.reverse()
+                table.sort()
+                assert table.entries == sorted(table.entries, key=key), (route, n, p)
+    # entries of one degree and size, ordered by their rows alone, occur
+    keys = [(e.k, e.diagram.size) for e in cohomology_via_partitions(8, 2).entries]
+    assert len(set(keys)) < len(keys)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         cohomology_via_w1(0, 1)
@@ -707,31 +725,42 @@ def test_paraboson_denominator_oracle_is_the_product_of_its_factors():
             assert _paraboson_denominator(n, symmetric) == whole
 
 
-def test_verifiers_never_expand_the_whole_denominator(monkeypatch):
-    products = []
-    real_mul = polyring._mul_terms
+def _spy_on_factor_steps(monkeypatch):
+    """Every factor step a verifier takes, as (e, c, top exponent sum out),
+    and every generic term-pair product, as (len a, len b)."""
+    steps, products = [], []
+    real_step, real_mul = polyring._times_binomial, polyring._mul_terms
 
-    def spy_mul(a, b, cut=math.inf):
-        out = real_mul(a, b, cut)
-        products.append((len(a), len(b), max(map(sum, out), default=0)))
+    def spy_step(terms, e, c, cut=math.inf):
+        out = real_step(terms, e, c, cut)
+        steps.append((e, c, max(map(sum, out), default=0)))
         return out
 
-    # MultiPoly and TruncatedSeries products, and the orbits' factor steps,
-    # all run here
+    def spy_mul(a, b, cut=math.inf):
+        products.append((len(a), len(b)))
+        return real_mul(a, b, cut)
+
+    monkeypatch.setattr(polyring, "_times_binomial", spy_step)
+    monkeypatch.setattr(kostant, "_times_binomial", spy_step)
+    # MultiPoly and TruncatedSeries products both run here
     monkeypatch.setattr(polyring, "_mul_terms", spy_mul)
-    monkeypatch.setattr(kostant, "_mul_terms", spy_mul)
+    return steps, products
+
+
+def test_verifiers_never_expand_the_whole_denominator(monkeypatch):
+    steps, products = _spy_on_factor_steps(monkeypatch)
     assert verify_parafermion_identity(5, 3).passed
     # Brauer's formula needs no orbit, nor any other product
-    assert products == []
+    assert steps == [] and products == []
     n, D = 4, 10
     assert verify_paraboson_identity(n, 3, D, "symmetric").status == "fail"
     monkeypatch.undo()
-    assert products
-    # every product stops at degree D plus |delta|, in whole units ...
-    assert max(d for _, _, d in products) <= D + n * (n - 1) // 2
-    # ... and multiplies in one two-term factor at a time, so no orbit's
-    # product is ever built
-    assert all(min(size_a, size_b) <= 2 for size_a, size_b, _ in products)
+    assert steps and products == []
+    # every step stops at degree D plus |delta|, in whole units ...
+    assert max(d for _, _, d in steps) <= D + n * (n - 1) // 2
+    # ... and multiplies in one two-term factor 1 - x_i, 1 - x_i x_j or
+    # 1 - x_i^2, so no orbit's product is ever built
+    assert all(c == -1 and min(e) >= 0 and sum(e) in (1, 2) for e, c, _ in steps)
 
 
 def test_rank_six_paraboson_verdicts():
@@ -925,6 +954,26 @@ def _parastat_by_product(n, m, p, D, chi):
     return ("pass" if disc is None else "fail"), disc
 
 
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(3) for m in range(3) if n + m])
+def test_parastat_passes_where_the_whole_product_does(monkeypatch, n, m):
+    real = kostant._euler_characteristic
+    used = []
+
+    def spy(entries):
+        chi = real(entries)
+        used.append(chi)
+        return chi
+
+    monkeypatch.setattr(kostant, "_euler_characteristic", spy)
+    for p in range(3):
+        for D in range(9):
+            used.clear()
+            rep = verify_parastat_identity(n, m, p, D)
+            assert len(used) == 1
+            assert rep.passed, (n, m, p, D)
+            assert _parastat_by_product(n, m, p, D, used[0]) == ("pass", None), (n, m, p, D)
+
+
 def _bump(chi, lam):
     chi[lam] += 1
 
@@ -973,24 +1022,26 @@ def test_perturbed_parastat_euler_sum_fails_where_the_product_does(monkeypatch, 
 
 def test_parastat_multiplies_in_one_factor_at_a_time(monkeypatch):
     schur_module = importlib.import_module("parafock.schur")
-    operands, hook_calls = [], []
-    real_mul, real_hook = TruncatedSeries.__mul__, schur_module.hook_schur
-
-    def spy_mul(self, other):
-        operands.append(len(other.terms if isinstance(other, MultiPoly) else other.poly.terms))
-        return real_mul(self, other)
+    steps, products = _spy_on_factor_steps(monkeypatch)
+    hook_calls = []
+    real_hook = schur_module.hook_schur
 
     def spy_hook(*args, **kwargs):
         hook_calls.append(args)
         return real_hook(*args, **kwargs)
 
-    for meth in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(TruncatedSeries, meth, spy_mul)
     monkeypatch.setattr(schur_module, "hook_schur", spy_hook)
     monkeypatch.setattr(kostant, "hook_schur", spy_hook, raising=False)
-    assert verify_parastat_identity(2, 2, 2, 8).passed
-    # both sides take their factors 1 +- x_i x_j and 1 - x_i one at a time
-    assert operands and max(operands) <= 2
+    D = 8
+    assert verify_parastat_identity(2, 2, 2, D).passed
+    # both sides take their factors one at a time, in half units: the four
+    # 1 + x_i y_j on the left, the four 1 - x_i and the two same-parity
+    # 1 - x_i x_j on the right, and no other product
+    assert products == []
+    assert all(set(e) <= {0, 2} for e, _, _ in steps)
+    assert sorted((c, sum(e)) for e, c, _ in steps) == [(-1, 2)] * 4 + [(-1, 4)] * 2 + [(1, 4)] * 4
+    # ... and never goes above degree D, 2D in half units
+    assert max(d for _, _, d in steps) <= 2 * D
     # the Euler and hook sums come straight from the branching memo
     assert hook_calls == []
 
@@ -1005,9 +1056,10 @@ def test_parastat_checks_only_its_starting_sums(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__init__", spy)
     assert verify_parastat_identity(2, 2, 2, 8).passed
-    # the Euler sum and the hook Schur sum; every factor is a two-term lift,
-    # and the library's own products are not checked again
-    assert len([k for k in checked if k > 2]) <= 2
+    # only the hook Schur sum is checked, as ``schur_sum`` returns it: the
+    # Euler sum and both products stay plain term dicts, and no factor is
+    # lifted to a series
+    assert len(checked) == 1
 
 
 @pytest.mark.parametrize("bound", [2.9, 3.7, -1, math.inf, math.nan])

@@ -13,6 +13,8 @@ from parafock.polyring import (
     MultiPoly,
     TruncatedSeries,
     _det,
+    _mul_terms,
+    _times_binomial,
     expand_inverse_product,
 )
 
@@ -284,6 +286,44 @@ def test_series_product_matches_term_pair_reference(a, da, b, db, kind, k):
     for product in (s * other, other * s):
         assert product.valid_degree == bound
         assert product.poly.terms == expected
+
+
+@st.composite
+def binomial_steps(draw):
+    """(terms within the cut, e, c, cut) over 1 to 4 variables; some draws
+    plant a term that the shifted copy of another cancels."""
+    nv = draw(st.integers(1, 4))
+    cut = draw(st.one_of(st.integers(0, 10), st.just(math.inf)))
+    vectors = st.tuples(*[st.integers(0, 4)] * nv)
+    terms = draw(st.dictionaries(vectors, st.integers(-9, 9).filter(bool), max_size=8))
+    terms = {a: ca for a, ca in terms.items() if sum(a) <= cut}
+    e = draw(st.tuples(*[st.integers(0, 3)] * nv).filter(any))
+    c = draw(st.one_of(st.sampled_from((1, -1)), st.integers(-5, 5).filter(bool)))
+    if draw(st.booleans()):
+        for a, ca in list(terms.items()):
+            k = tuple(x + y for x, y in zip(a, e))
+            if sum(k) <= cut:
+                terms[k] = -c * ca
+                break
+    return terms, e, c, cut
+
+
+@settings(max_examples=200)
+@given(binomial_steps())
+def test_factor_step_matches_the_generic_product(step):
+    terms, e, c, cut = step
+    before = dict(terms)
+    expected = _mul_terms(terms, {(0,) * len(e): 1, e: c}, cut)
+    assert _times_binomial(terms, e, c, cut) == expected
+    assert terms == before
+
+
+def test_factor_step_deletes_a_cancelled_term():
+    # (1 + x + x^2)(1 - x) = 1 - x^3, and through degree 2 it is 1
+    terms = {(0,): 1, (1,): 1, (2,): 1}
+    assert _times_binomial(terms, (1,), -1) == {(0,): 1, (3,): -1}
+    assert _times_binomial(terms, (1,), -1, 2) == {(0,): 1}
+    assert terms == {(0,): 1, (1,): 1, (2,): 1}
 
 
 def test_series_times_negative_exponent_raises():
