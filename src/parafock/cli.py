@@ -47,16 +47,18 @@ def _parse_partition(text: str) -> Partition:
         raise ValueError(f"bad partition {text!r}: {exc}") from exc
 
 
-def _parse_range(text: str) -> list[int]:
-    """A single integer, or an inclusive range like 1..3."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_range(text: str, name: str) -> list[int]:
+    """A single integer, or an inclusive range like 1..3; ``name`` is the
+    argument it came from, for the error message."""
+    lo, dots, hi = text.strip().partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError as exc:
+        raise ValueError(f"{name} must be an integer or a range like 1..3, got {text!r}") from exc
+    if hi < lo:
+        raise ValueError(f"empty range {text!r} for {name}")
+    return list(range(lo, hi + 1))
 
 
 def _dump(obj) -> str:
@@ -185,8 +187,8 @@ def _default_degree(identity: str, args) -> int:
 
 def _cmd_verify(args) -> int:
     identity = args.identity
-    ns = _parse_range(args.n)
-    ps = _parse_range(args.p)
+    ns = _parse_range(args.n, "--n")
+    ps = _parse_range(args.p, "--p")
     if identity == "parastat" and args.m is None:
         raise ValueError("parastat needs --m")
     if identity != "parastat" and args.m is not None:
@@ -195,7 +197,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--alt-denominator applies only to paraboson, not {identity}")
     if identity not in DEFAULT_DEGREES and args.degree is not None:
         raise ValueError(f"--degree applies only to paraboson and parastat, not {identity}")
-    ms = _parse_range(args.m) if args.m is not None else [None]
+    ms = _parse_range(args.m, "--m") if args.m is not None else [None]
     _check_rank_limit(args, max(ns), max(ms) if ms != [None] else None)
     for v, name in ((min(ns), "--n"), (min(ms), "--m"), (min(ps), "--p")):
         if v is not None:

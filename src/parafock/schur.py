@@ -10,9 +10,8 @@ Four engines compute s_lambda:
 
 * ``gt``  - Gelfand-Tsetlin branching rule (the default):
   s_lambda(x_1..x_k) = sum over mu interlacing lambda of
-  s_mu(x_1..x_{k-1}) x_k^{|lambda/mu|} (Macdonald, I.(5.11)), memoized on
-  the context; it needs no polynomial multiplication, only exponent shifts
-  and additions,
+  s_mu(x_1..x_{k-1}) x_k^{|lambda/mu|} (Macdonald, I.(5.11)); it needs no
+  polynomial multiplication, only exponent shifts and additions,
 * ``jt``  - Jacobi-Trudi determinant in complete homogeneous polynomials
   (the independent oracle the fast path is tested against),
 * ``alt`` - bialternant: quotient of two determinants
@@ -20,21 +19,22 @@ Four engines compute s_lambda:
   division (cost grows like n!, intended as a cross-check for small n),
 * ``tab`` - monomial sum over semistandard tableaux.
 
-Hook Schur polynomials come either from the same branching recursion run
-over all n + m variables (``br``: past the even block each odd variable
-removes a vertical strip, hs_lambda(x; y_1..y_j) = sum over nu of
-hs_nu(x; y_1..y_{j-1}) y_j^{|lambda/nu|} with lambda/nu a vertical strip;
-Macdonald I.5, Berele & Regev 1987) or from super-semistandard tableaux
-(``tab``).  hs_lambda vanishes exactly when the diagram does not fit in the
-(n|m) hook.  Determinants, all taken by ``polyring._det``, serve only the
-``jt`` and ``alt`` oracles and ``skew_schur``.
+Hook Schur polynomials come either from the same branching rule run over
+all n + m variables (``br``: each odd variable removes a vertical strip,
+hs_lambda(x; y_1..y_j) = sum over nu of hs_nu(x; y_1..y_{j-1})
+y_j^{|lambda/nu|}; Macdonald I.5, Berele & Regev 1987) or from
+super-semistandard tableaux (``tab``).  hs_lambda vanishes exactly when the
+diagram does not fit in the (n|m) hook.  Determinants, all taken by
+``polyring._det``, serve only the ``jt`` and ``alt`` oracles and
+``skew_schur``.
 
 All ``tab`` engines (plain, skew and hook) share one super-tableau
 enumerator; with no odd letters (m = 0) its tableaux are the ordinary
 semistandard ones.
 
-Every sum of c s_lambda (or c hs_lambda) goes through one accumulator,
-``_schur_expansion``, which adds the branching memo's terms into one dict.
+Every branching expansion, of one diagram or of a whole signed family, is
+``_schur_expansion``: one pass from the last variable down, which splits
+each diagram the family's members share once.
 """
 
 from __future__ import annotations
@@ -62,16 +62,14 @@ __all__ = [
 
 
 class SchurContext:
-    """Variable bookkeeping plus caches of complete homogeneous polynomials
-    (for the Jacobi-Trudi oracle) and of branching-rule terms, which the
-    plain (``gt``) and hook (``br``) engines share over the n + m variables."""
+    """Variable bookkeeping plus a cache of complete homogeneous polynomials,
+    which the Jacobi-Trudi oracle reads."""
 
     def __init__(self, n: int, m: int = 0):
         self.n = _integer(n, "n")
         self.m = _integer(m, "m")
         self.nvars = self.n + self.m
         self._h_cache: dict[tuple[str, int], MultiPoly] = {}
-        self._gt_cache: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
 
     def block(self, which: str) -> range:
         if which == "even":
@@ -98,46 +96,6 @@ class SchurContext:
         poly = MultiPoly._of(self.nvars, terms)
         self._h_cache[key] = poly
         return poly
-
-    def _gt(self, parts: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-        """Terms of hs_lambda in the first k of the n + m variables, by branching.
-
-        The even variables come first, so for k <= n this is s_lambda(x_1..x_k).
-        May return the cached dict itself: callers copy it before handing it out.
-        Only k < n + m is cached, since the recursion reads nothing larger.
-        """
-        even = min(k, self.n)
-        if len(parts) > even and parts[even] > k - even:
-            return {}
-        key = (parts, k)
-        cached = self._gt_cache.get(key)
-        if cached is not None:
-            return cached
-        if k == 0:
-            terms = {(0,) * self.nvars: 1}
-        else:
-            size, tail = sum(parts), (0,) * (self.nvars - k)
-            if k <= self.n:
-                padded = parts + (0,) * (k - len(parts))
-                between = [range(padded[i + 1], padded[i] + 1) for i in range(k - 1)]
-                inner = product(*between)
-            else:
-                # lambda/mu a vertical strip: in each run of r equal rows the
-                # bottom j of them, j = 0..r, lose their last box.
-                runs = [(v, len(list(rows))) for v, rows in groupby(parts)]
-                blocks = [[(v,) * (r - j) + (v - 1,) * j for j in range(r + 1)] for v, r in runs]
-                inner = (sum(pick, ()) for pick in product(*blocks))
-            terms = {}
-            for mu in inner:
-                mu = mu[: len(mu) - mu.count(0)]
-                # hs_mu in k-1 variables leaves slot k-1 at zero, free for the k-th.
-                shift = (2 * (size - sum(mu)),) + tail
-                for e, c in self._gt(mu, k - 1).items():
-                    e = e[: k - 1] + shift
-                    terms[e] = terms.get(e, 0) + c
-        if k < self.nvars:
-            self._gt_cache[key] = terms
-        return terms
 
     def __repr__(self) -> str:
         return f"SchurContext(n={self.n}, m={self.m})"
@@ -218,7 +176,7 @@ def schur(lam, ctx: SchurContext, algorithm: str = "gt") -> MultiPoly:
     """
     lam = as_partition(lam)
     if algorithm == "gt":
-        return MultiPoly._of(ctx.nvars, dict(ctx._gt(lam.parts, ctx.n)))
+        return _schur_expansion(((lam, 1),), ctx)
     # Neither determinant engine sees a diagram longer than the even block.
     if algorithm in ("jt", "alt") and len(lam) > ctx.n:
         return MultiPoly.zero(ctx.nvars)
@@ -254,7 +212,7 @@ def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
     """
     lam = as_partition(lam)
     if algorithm == "br":
-        return MultiPoly._of(ctx.nvars, dict(ctx._gt(lam.parts, ctx.nvars)))
+        return _schur_expansion(((lam, 1),), ctx, hook=True)
     if algorithm == "tab":
         return _content_sum(_iter_super_contents(lam, ctx.n, ctx.m), ctx.nvars)
     raise ValueError(f"unknown algorithm {algorithm!r} (expected br or tab)")
@@ -262,17 +220,59 @@ def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
 
 def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly:
     """sum c s_lambda over the (lambda, c) pairs of ``coeffs``, or sum c hs_lambda
-    with ``hook``, added term by term from the branching memo into one dict."""
-    k = ctx.nvars if hook else ctx.n
-    terms: dict[tuple[int, ...], int] = {}
+    with ``hook``, by one branching pass over the whole family.
+
+    The pass removes the variables from the last one down, carrying
+    {nu: {exponents of the variables removed: coefficient}}.  Removing z_k
+    splits each nu into the kappa with nu/kappa a horizontal (z_k even) or
+    vertical (z_k odd) strip that fit the hook of the variables left, and
+    gives z_k the exponent |nu/kappa|; what cancels is dropped where it meets.
+    """
+    n, m = ctx.n, ctx.m if hook else 0
+    seeds: dict[tuple[int, ...], int] = {}
     for lam, c in coeffs:
-        for e, x in ctx._gt(as_partition(lam).parts, k).items():
-            s = terms.get(e, 0) + c * x
-            if s:
-                terms[e] = s
+        lam = as_partition(lam)
+        # hs_lambda vanishes outside the (n|m) hook, s_lambda past n rows
+        if lam.part(n) <= m:
+            seeds[lam.parts] = seeds.get(lam.parts, 0) + c
+    tail = (0,) * (ctx.nvars - n - m)  # the odd variables of a plain sum
+    carry = {nu: {tail: c} for nu, c in seeds.items() if c}
+    k = n + m
+    while k:
+        k -= 1
+        below: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for nu, terms in carry.items():
+            if not terms:
+                continue
+            if k < n:
+                # nu has at most k + 1 rows; kappa interlaces it in k rows
+                rows = nu + (0,) * (k + 1 - len(nu))
+                strips = product(*(range(rows[i + 1], rows[i] + 1) for i in range(k)))
             else:
-                terms.pop(e, None)
-    return MultiPoly._of(ctx.nvars, terms)
+                # the bottom j rows of each run of r equal rows lose a box; if
+                # row n + 1 is too long for the k - n odd variables left, its
+                # run takes j past it
+                blocks, end = [], 0
+                for v, run in groupby(nu):
+                    r = len(list(run))
+                    end += r
+                    low = end - n if end - r <= n < end and v > k - n else 0
+                    blocks.append([(v,) * (r - j) + (v - 1,) * j for j in range(low, r + 1)])
+                strips = (sum(pick, ()) for pick in product(*blocks))
+            size = sum(nu)
+            for kappa in strips:
+                kappa = kappa[: len(kappa) - kappa.count(0)]
+                d = 2 * (size - sum(kappa))
+                into = below.setdefault(kappa, {})
+                for e, c in terms.items():
+                    e = (d,) + e
+                    s = into.get(e, 0) + c
+                    if s:
+                        into[e] = s
+                    else:
+                        into.pop(e, None)
+        carry = below
+    return MultiPoly._of(ctx.nvars, carry.get((), {}))
 
 
 def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> TruncatedSeries:

@@ -404,6 +404,24 @@ def test_a_negative_range_needs_an_equals_sign(capsys, m, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "n, m, p, message",
+    [
+        ("x", "1", "1", "--n must be an integer or a range like 1..3, got 'x'"),
+        ("1", "1", "1..x", "--p must be an integer or a range like 1..3, got '1..x'"),
+        ("1", "1..z", "1", "--m must be an integer or a range like 1..3, got '1..z'"),
+        ("1.5", "1", "1", "--n must be an integer or a range like 1..3, got '1.5'"),
+        ("1..2..3", "1", "1", "--n must be an integer or a range like 1..3, got '1..2..3'"),
+        ("1", "3..1", "1", "empty range '3..1' for --m"),
+    ],
+)
+def test_a_bad_range_names_its_argument(capsys, n, m, p, message):
+    code, out, err = run(
+        capsys, "verify", "--identity", "parastat", "--n", n, "--m", m, "--p", p
+    )
+    assert code == 2 and out == "" and message in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert "argument command: invalid choice: 'no-such-command'" in capsys.readouterr().err

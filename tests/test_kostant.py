@@ -784,8 +784,9 @@ def test_rank_six_paraboson_verdicts():
 
 def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
     schur_module = importlib.import_module("parafock.schur")
-    series_products, schur_calls, memo_reads = [], [], []
-    real_mul, real_schur, real_gt = TruncatedSeries.__mul__, schur_module.schur, SchurContext._gt
+    series_products, schur_calls, expanded = [], [], []
+    real_mul, real_schur = TruncatedSeries.__mul__, schur_module.schur
+    real_expansion = schur_module._schur_expansion
 
     def spy_mul(self, other):
         series_products.append(other)
@@ -795,22 +796,24 @@ def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
         schur_calls.append(args)
         return real_schur(*args, **kwargs)
 
-    def spy_gt(self, parts, k):
-        # every Schur expansion reads the branching memo
-        memo_reads.append(parts)
-        return real_gt(self, parts, k)
+    def spy_expansion(coeffs, *args, **kwargs):
+        # every Schur expansion goes through this one pass
+        coeffs = list(coeffs)
+        expanded.extend(Partition(lam).parts for lam, _ in coeffs)
+        return real_expansion(coeffs, *args, **kwargs)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", spy_mul)
     monkeypatch.setattr(schur_module, "schur", spy_schur)
-    monkeypatch.setattr(SchurContext, "_gt", spy_gt)
+    monkeypatch.setattr(schur_module, "_schur_expansion", spy_expansion)
+    monkeypatch.setattr(kostant, "_schur_expansion", spy_expansion)
     assert verify_parafermion_identity(4, 3).passed
     # Brauer's formula expands the branching character, from diagrams in
     # the 3^4 box alone; nothing else is expanded
-    assert memo_reads
-    assert all(len(parts) <= 4 and max(parts, default=0) <= 3 for parts in memo_reads)
-    memo_reads.clear()
+    assert expanded
+    assert all(len(parts) <= 4 and max(parts, default=0) <= 3 for parts in expanded)
+    expanded.clear()
     assert verify_paraboson_identity(4, 2, 10).passed
-    assert memo_reads == []
+    assert expanded == []
     assert series_products == []
     assert schur_calls == []
 

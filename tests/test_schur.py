@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from parafock.partitions import Partition, enumerate_partitions, hook_condition
 from parafock.polyring import MultiPoly
-from parafock.schur import SchurContext, hook_schur, schur, schur_sum, skew_schur
+from parafock.schur import (
+    SchurContext,
+    _schur_expansion,
+    hook_schur,
+    schur,
+    schur_sum,
+    skew_schur,
+)
 
 
 def diagrams_up_to(size, **bounds):
@@ -198,16 +205,23 @@ def test_branching_engine_returns_a_fresh_polynomial():
     assert hook_schur(lam, ctx) == expected
 
 
-def test_branching_cache_holds_no_top_level_entry():
-    # the recursion reads only k < n + m, and every caller copies the top dict
-    ctx = SchurContext(2, 2)
-    hook_schur(Partition([3, 2, 1]), ctx)
-    assert ctx._gt_cache
-    assert all(k < ctx.nvars for _, k in ctx._gt_cache)
-    ctx = SchurContext(3)
-    schur(Partition([2, 1]), ctx)
-    assert ctx._gt_cache
-    assert all(k < ctx.nvars for _, k in ctx._gt_cache)
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(5 - n)])
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_one_branching_pass_expands_a_family_like_the_tableau_engine(n, m, data):
+    # the family always holds a cancelling pair, a zero coefficient and the
+    # empty diagram; the plain sum on m > 0 leaves the odd variables absent
+    ctx = SchurContext(n, m)
+    diagram, coefficient = small_partitions(max_size=6), st.integers(-3, 3)
+    family = data.draw(st.lists(st.tuples(diagram, coefficient), max_size=5))
+    lam, c = data.draw(diagram), data.draw(coefficient)
+    family += [(lam, c), (data.draw(diagram), 0), (lam, -c), (Partition(), data.draw(coefficient))]
+    family = data.draw(st.permutations(family))
+    for hook, engine in ((True, hook_schur), (False, schur)):
+        expected = MultiPoly.zero(ctx.nvars)
+        for lam, c in family:
+            expected = expected + c * engine(lam, ctx, "tab")
+        assert _schur_expansion(family, ctx, hook) == expected
 
 
 def test_skew_engines_agree():
