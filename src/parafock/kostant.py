@@ -59,10 +59,10 @@ from .partitions import (
     Partition,
     _FrozenRecord,
     _Record,
+    _column_lengths,
     _integer,
     enumerate_partitions,
     enumerate_self_conjugate_in_square,
-    hook_condition,
 )
 from .polyring import (
     MultiPoly,
@@ -218,12 +218,12 @@ def _denominator_factors(n: int) -> list[MultiPoly]:
     return [one - x for x in xs] + [one - xs[i] * xs[j] for i, j in combinations(range(n), 2)]
 
 
-def _euler_characteristic(entries) -> dict[Partition, int]:
+def _euler_characteristic(entries) -> dict[tuple[int, ...], int]:
     """Euler-Poincare characteristic in the Schur basis: each entry's
-    mu^(p) with sign (-1)^k, as {diagram: coefficient}."""
-    chi: dict[Partition, int] = {}
+    mu^(p) with sign (-1)^k, as {rows: coefficient}."""
+    chi: dict[tuple[int, ...], int] = {}
     for e in entries:
-        chi[e.diagram] = chi.get(e.diagram, 0) + (-1) ** e.k
+        chi[e.diagram.parts] = chi.get(e.diagram.parts, 0) + (-1) ** e.k
     return chi
 
 
@@ -237,9 +237,10 @@ def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSerie
     table = cohomology_via_partitions(n, p, D)
     if k > table.max_degree():
         raise ValueError(f"k={k} outside 0..{table.max_degree()}")
-    numerator = _schur_expansion(((e.diagram, 1) for e in table.entries_at(k)), SchurContext(n))
+    degree_k = ((e.diagram.parts, 1) for e in table.entries_at(k))
+    numerator = _schur_expansion(degree_k, SchurContext(n))
     universal = expand_inverse_product(_denominator_factors(n), D)
-    return TruncatedSeries(numerator, math.inf) * universal
+    return TruncatedSeries._of(numerator, math.inf) * universal
 
 
 class VerificationReport(_Record):
@@ -413,8 +414,7 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
     t0 = time.perf_counter()
-    chi = _euler_characteristic(cohomology_via_partitions(n, p).entries)
-    lhs = {lam.parts: c for lam, c in chi.items()}
+    lhs = _euler_characteristic(cohomology_via_partitions(n, p).entries)
     family = list(enumerate_partitions(max_part=p, max_length=n))
     rhs = _parafermion_times(n, p, family)
     if rhs is None:
@@ -444,7 +444,7 @@ def _parafermion_times(n: int, p: int, family) -> dict[tuple[int, ...], int] | N
     exponent, so an invariant chi' has every exponent within p/2 of 0, and
     every nu_i <= rho_1 + p/2 = c.
     """
-    chi = _schur_expansion(((lam, 1) for lam in family), SchurContext(n))
+    chi = _schur_expansion(((lam.parts, 1) for lam in family), SchurContext(n))
     coeffs = _brauer_product(chi, p)
     return None if coeffs is None else _shifted_alternants(coeffs, n, 2 * n - 1 + p)
 
@@ -500,10 +500,10 @@ def verify_paraboson_identity(
     # Conjugation keeps |mu^(p)|, so the degree bound is the table's bound.
     table = cohomology_via_partitions(max(n - p, 1), p, D)
     lhs = {}
-    for lam, c in _euler_characteristic(table.entries).items():
-        lam = lam.conjugate()
-        if len(lam) <= n:
-            lhs[lam.parts] = c
+    for rows, c in _euler_characteristic(table.entries).items():
+        cols = _column_lengths(rows)
+        if len(cols) <= n:
+            lhs[cols] = c
     family = enumerate_partitions(max_length=min(p, n), max_size=D)
     rhs = _denominator_times(n, denominator == "symmetric", family, D)
     disc = _schur_discrepancy(lhs, rhs, n)
@@ -616,7 +616,7 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     # 2a + 1 + p <= D, lies in the ((D + 1 - p) // 2)-square, so the square
     # cuts nothing that the budget keeps.
     table = cohomology_via_partitions(max((D + 1 - p) // 2, 1), p, D)
-    kept = [e for e in table.entries if hook_condition(e.diagram, n, m)]
+    kept = [e for e in table.entries if e.diagram.part(n) <= m]
 
     def times_factors(terms, c, factors):
         # each factor 1 + c x^e named by the variables in e: x_i or x_i x_j

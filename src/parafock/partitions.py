@@ -14,7 +14,10 @@ under a size budget never opens an arm the budget cannot pay for, so it
 builds only the diagrams it returns.
 
 Enumerations are deterministic: diagrams are ordered by total size and,
-within a size, by descending lexicographic order on the part lists.
+within a size, by descending lexicographic order on the part lists.  They
+build their rows themselves, so they yield trusted diagrams wrapped by
+``Partition._of``, as ``Partition.conjugate`` returns its transpose; only
+``Partition(...)`` and ``as_partition`` check rows from outside.
 
 Every count and bound the package takes from outside (a variable count,
 an order p, a degree k or a degree bound D) is checked by ``_integer``,
@@ -101,7 +104,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram: column lengths become row lengths."""
-        return Partition(_column_lengths(self.parts))
+        return Partition._of(_column_lengths(self.parts))
 
     def is_self_conjugate(self) -> bool:
         return self.parts == _column_lengths(self.parts)
@@ -360,7 +363,7 @@ def enumerate_partitions(
         mp = d if max_part is None else min(max_part, d)
         ml = d if max_length is None else min(max_length, d)
         for parts in _partitions_of(d, mp, ml):
-            yield Partition(parts)
+            yield Partition._of(parts)
         d += 1
 
 

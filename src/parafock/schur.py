@@ -34,7 +34,8 @@ semistandard ones.
 
 Every branching expansion, of one diagram or of a whole signed family, is
 ``_schur_expansion``: one pass from the last variable down, which splits
-each diagram the family's members share once.
+each diagram the family's members share once.  It takes trusted rows
+tuples: the public functions check outside input once, not the pass.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ import math
 from collections.abc import Iterator
 from itertools import combinations_with_replacement, groupby, product
 
-from .partitions import (
-    Partition,
-    _integer,
-    as_partition,
-    enumerate_partitions,
-    hook_condition,
-)
+from .partitions import Partition, _integer, as_partition, enumerate_partitions
 from .polyring import MultiPoly, TruncatedSeries, _det
 
 __all__ = [
@@ -176,7 +171,7 @@ def schur(lam, ctx: SchurContext, algorithm: str = "gt") -> MultiPoly:
     """
     lam = as_partition(lam)
     if algorithm == "gt":
-        return _schur_expansion(((lam, 1),), ctx)
+        return _schur_expansion(((lam.parts, 1),), ctx)
     # Neither determinant engine sees a diagram longer than the even block.
     if algorithm in ("jt", "alt") and len(lam) > ctx.n:
         return MultiPoly.zero(ctx.nvars)
@@ -212,15 +207,16 @@ def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
     """
     lam = as_partition(lam)
     if algorithm == "br":
-        return _schur_expansion(((lam, 1),), ctx, hook=True)
+        return _schur_expansion(((lam.parts, 1),), ctx, hook=True)
     if algorithm == "tab":
         return _content_sum(_iter_super_contents(lam, ctx.n, ctx.m), ctx.nvars)
     raise ValueError(f"unknown algorithm {algorithm!r} (expected br or tab)")
 
 
 def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly:
-    """sum c s_lambda over the (lambda, c) pairs of ``coeffs``, or sum c hs_lambda
-    with ``hook``, by one branching pass over the whole family.
+    """sum c s_lambda over the (rows, c) pairs of ``coeffs``, or sum c hs_lambda
+    with ``hook``, by one branching pass over the whole family.  Each ``rows``
+    is lambda's parts without trailing zeros, trusted and not checked.
 
     The pass removes the variables from the last one down, carrying
     {nu: {exponents of the variables removed: coefficient}}.  Removing z_k
@@ -230,11 +226,10 @@ def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly
     """
     n, m = ctx.n, ctx.m if hook else 0
     seeds: dict[tuple[int, ...], int] = {}
-    for lam, c in coeffs:
-        lam = as_partition(lam)
+    for rows, c in coeffs:
         # hs_lambda vanishes outside the (n|m) hook, s_lambda past n rows
-        if lam.part(n) <= m:
-            seeds[lam.parts] = seeds.get(lam.parts, 0) + c
+        if len(rows) <= n or rows[n] <= m:
+            seeds[rows] = seeds.get(rows, 0) + c
     tail = (0,) * (ctx.nvars - n - m)  # the odd variables of a plain sum
     carry = {nu: {tail: c} for nu, c in seeds.items() if c}
     k = n + m
@@ -294,15 +289,14 @@ def schur_sum(constraint: tuple[str, int], ctx: SchurContext, valid_degree) -> T
     if kind in ("max_columns", "max_rows") and ctx.m != 0:
         raise ValueError(f"constraint {kind!r} needs a context with m=0")
     if kind == "max_columns":
-        family = enumerate_partitions(max_part=p, max_length=ctx.n)
+        family = enumerate_partitions(max_part=p, max_length=ctx.n, max_size=valid_degree)
     elif valid_degree == math.inf:
         raise ValueError(f"constraint {kind!r} needs a finite degree bound")
     elif kind == "max_rows":
         family = enumerate_partitions(max_length=min(p, ctx.n), max_size=valid_degree)
     elif kind == "hook":
         family = enumerate_partitions(max_part=p, max_size=valid_degree)
-        family = (lam for lam in family if hook_condition(lam, ctx.n, ctx.m))
     else:
         raise ValueError(f"unknown constraint kind {kind!r}")
-    total = _schur_expansion(((lam, 1) for lam in family), ctx, hook=kind == "hook")
-    return TruncatedSeries(total, valid_degree)
+    total = _schur_expansion(((lam.parts, 1) for lam in family), ctx, hook=kind == "hook")
+    return TruncatedSeries._of(total, valid_degree)

@@ -701,7 +701,7 @@ def test_sign_patterns_of_the_top_weight_give_the_cohomology_table():
             top = Weight.rho(n) + Weight.p_theta(n, p)
             got = kostant._shifted_alternants({top.coords: 1}, n, 2 * n - 1 + p)
             euler = kostant._euler_characteristic(cohomology_via_partitions(n, p).entries)
-            assert got == {lam.parts: c for lam, c in euler.items()}, (n, p)
+            assert got == euler, (n, p)
 
 
 def test_rank_seven_parafermion_passes_without_the_denominator(monkeypatch):
@@ -1045,7 +1045,7 @@ def test_parastat_multiplies_in_one_factor_at_a_time(monkeypatch):
     assert sorted((c, sum(e)) for e, c, _ in steps) == [(-1, 2)] * 4 + [(-1, 4)] * 2 + [(1, 4)] * 4
     # ... and never goes above degree D, 2D in half units
     assert max(d for _, _, d in steps) <= 2 * D
-    # the Euler and hook sums come straight from the branching memo
+    # the Euler and hook sums come straight from the one branching pass
     assert hook_calls == []
 
 
@@ -1059,10 +1059,58 @@ def test_parastat_checks_only_its_starting_sums(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__init__", spy)
     assert verify_parastat_identity(2, 2, 2, 8).passed
-    # only the hook Schur sum is checked, as ``schur_sum`` returns it: the
-    # Euler sum and both products stay plain term dicts, and no factor is
-    # lifted to a series
-    assert len(checked) == 1
+    # nothing built inside the check is checked again: ``schur_sum`` wraps
+    # the hook Schur sum it built, the Euler sum and both products stay
+    # plain term dicts, and no factor is lifted to a series
+    assert checked == []
+
+
+def _spy_on_input_checks(monkeypatch):
+    """Names of the input checks called: ``hook_condition`` and
+    ``as_partition`` at every module that binds them, and the checking
+    constructors of ``Partition`` and ``TruncatedSeries``."""
+    calls = []
+    modules = [importlib.import_module(f"parafock.{name}")
+               for name in ("partitions", "schur", "weyl", "polyring", "kostant", "cli")]
+    for name in ("hook_condition", "as_partition"):
+        real = getattr(partitions, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    for cls in (Partition, TruncatedSeries):
+        real = cls.__init__
+
+        def spy_init(self, *args, _name=f"{cls.__name__}.__init__", _real=real):
+            calls.append(_name)
+            _real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", spy_init)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda: verify_parafermion_identity(4, 3), lambda: verify_paraboson_identity(4, 2, 10),
+     lambda: verify_parastat_identity(2, 2, 2, 8)],
+    ids=["parafermion", "paraboson", "parastat"],
+)
+def test_identity_checks_recheck_nothing_they_build(monkeypatch, check):
+    # the verifiers check their counts once; the diagrams, family sums and
+    # series they build from them are trusted and pass no further check
+    calls = _spy_on_input_checks(monkeypatch)
+    # the spies see public calls that check outside input
+    partitions.hook_condition([2, 1], 1, 1)
+    TruncatedSeries(MultiPoly.one(1), 2)
+    assert calls == ["hook_condition", "as_partition", "Partition.__init__",
+                     "TruncatedSeries.__init__"]
+    calls.clear()
+    assert check().passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("bound", [2.9, 3.7, -1, math.inf, math.nan])

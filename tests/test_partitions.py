@@ -3,7 +3,7 @@
 import copy
 import math
 import pickle
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -203,6 +203,30 @@ def test_zero_shape_bound_yields_only_the_empty_diagram():
     # with one bound zero and the other unbounded, no size past 0 has a diagram
     assert list(enumerate_partitions(max_part=0)) == [Partition()]
     assert list(enumerate_partitions(max_length=0)) == [Partition()]
+
+
+@pytest.mark.parametrize("max_size", [None, 0, 1, 5, math.inf])
+@pytest.mark.parametrize("max_length", [None, 0, 1, 3, math.inf])
+@pytest.mark.parametrize("max_part", [None, 0, 2, 4, math.inf])
+def test_enumerations_yield_what_the_checked_constructor_builds(max_part, max_length, max_size):
+    # enumerate_partitions and conjugate wrap their own rows unchecked; each
+    # diagram must equal the checked construction of its rows, and an
+    # unbounded stream is read through its first 60 diagrams
+    bounds = {"max_part": max_part, "max_length": max_length, "max_size": max_size}
+    bounds = {name: v for name, v in bounds.items() if v is not None}
+    try:
+        stream = enumerate_partitions(**bounds)
+        diagrams = list(islice(stream, 60))
+    except ValueError:
+        assert "max_size" not in bounds and not {"max_part", "max_length"} <= bounds.keys()
+        return
+    assert diagrams
+    for lam in diagrams:
+        assert type(lam.parts) is tuple
+        assert lam == Partition(lam.parts) and hash(lam) == hash(Partition(lam.parts))
+        conj = lam.conjugate()
+        assert type(conj.parts) is tuple and conj == Partition(conj.parts)
+        assert conj == conjugate_oracle(lam)
 
 
 # -- oracle agreement and invariants ------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parafock.partitions import Partition, enumerate_partitions, hook_condition
-from parafock.polyring import MultiPoly
+from parafock.polyring import MultiPoly, TruncatedSeries
 from parafock.schur import (
     SchurContext,
     _schur_expansion,
@@ -101,6 +101,45 @@ def test_hook_schur_sum_frozen():
     s = schur_sum(("hook", 1), ctx, 2)
     # columns of height <= anything, width <= 1: empty, (1), (1,1) survive the hook
     assert s.poly == 1 + (x + y) + (x * y + y ** 2)
+
+
+def _checked_family_sum(kind, p, ctx, bound):
+    """The family sum built through every check: each diagram through
+    ``Partition``, each summand by the tableau engine, the total through
+    ``TruncatedSeries``."""
+    if kind == "max_columns":
+        # inside the p^n rectangle, a finite family whatever the bound
+        family = [lam for lam in diagrams_up_to(ctx.n * p) if len(lam) <= ctx.n]
+    else:
+        family = diagrams_up_to(bound)
+    family = [Partition(list(lam)) for lam in family]
+    if kind == "max_rows":
+        family = [lam for lam in family if len(lam) <= p]
+    else:
+        family = [lam for lam in family if lam.part(0) <= p]
+    engine = hook_schur if kind == "hook" else schur
+    total = MultiPoly.zero(ctx.nvars)
+    for lam in family:
+        total = total + engine(lam, ctx, "tab")
+    return TruncatedSeries(total, bound)
+
+
+@pytest.mark.parametrize(
+    "kind, n, m, bounds",
+    [("max_columns", n, 0, [*range(n * 3 + 2), math.inf]) for n in range(4)]
+    + [("max_rows", n, 0, range(7)) for n in range(4)]
+    + [("hook", n, m, range(7)) for n in range(3) for m in range(3)],
+    ids=str,
+)
+def test_family_sums_equal_the_checked_construction(kind, n, m, bounds):
+    # schur_sum wraps its sum unchecked; max_columns now enumerates only
+    # through |lambda| <= D, which must drop exactly what truncation drops
+    ctx = SchurContext(n, m)
+    for p in range(4 if kind == "max_columns" else 3):
+        for bound in bounds:
+            got = schur_sum((kind, p), ctx, bound)
+            assert got == _checked_family_sum(kind, p, ctx, bound), (kind, n, m, p, bound)
+            assert type(got.valid_degree) is type(bound)
 
 
 # -- validation ------------------------------------------------------------------
@@ -210,7 +249,8 @@ def test_branching_engine_returns_a_fresh_polynomial():
 @given(st.data())
 def test_one_branching_pass_expands_a_family_like_the_tableau_engine(n, m, data):
     # the family always holds a cancelling pair, a zero coefficient and the
-    # empty diagram; the plain sum on m > 0 leaves the odd variables absent
+    # empty diagram; the plain sum on m > 0 leaves the odd variables absent.
+    # The pass takes the rows tuples the library builds, not Partitions
     ctx = SchurContext(n, m)
     diagram, coefficient = small_partitions(max_size=6), st.integers(-3, 3)
     family = data.draw(st.lists(st.tuples(diagram, coefficient), max_size=5))
@@ -221,7 +261,8 @@ def test_one_branching_pass_expands_a_family_like_the_tableau_engine(n, m, data)
         expected = MultiPoly.zero(ctx.nvars)
         for lam, c in family:
             expected = expected + c * engine(lam, ctx, "tab")
-        assert _schur_expansion(family, ctx, hook) == expected
+        rows = [(lam.parts, c) for lam, c in family]
+        assert _schur_expansion(rows, ctx, hook) == expected
 
 
 def test_skew_engines_agree():
