@@ -68,7 +68,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        ps = [int(x) for x in parts]
+        ps = [_integer(x, "part", float("-inf")) for x in parts]
         while ps and ps[-1] == 0:
             ps.pop()
         if any(a < b for a, b in zip(ps, ps[1:])):
@@ -218,9 +218,7 @@ class FrobeniusForm(_FrozenRecord):
 
 def as_partition(lam) -> Partition:
     """Coerce an iterable of whole parts (or a Partition) to a Partition."""
-    if isinstance(lam, Partition):
-        return lam
-    return Partition(_integer(x, "part", float("-inf")) for x in lam)
+    return lam if isinstance(lam, Partition) else Partition(lam)
 
 
 def frobenius_decompose(lam: Partition) -> FrobeniusForm:

@@ -22,8 +22,9 @@ Both classes multiply through one term-pair loop, ``_mul_terms``, which
 drops every term above a degree cut (none for an exact product).  A
 truncated check that multiplies in one two-term factor 1 + c x^e at a
 time takes the factor step ``_times_binomial`` instead, which copies the
-terms once and adds only the shifted copies that fit the cut.  The
-public constructors check outside input: whole exponents and
+terms once and adds only the shifted copies that fit the cut.  So does
+``expand_inverse_product``, as 1/(1 - c x^e) = prod_j (1 + (c x^e)^(2^j)).
+The public constructors check outside input: whole exponents and
 coefficients, exponent lengths, non-negative series exponents, the degree
 bound, each whole number through ``partitions._integer``.  Results the
 library computes itself are wrapped by the private ``MultiPoly._of`` and
@@ -496,25 +497,21 @@ def expand_inverse_product(factors: list[MultiPoly], valid_degree) -> TruncatedS
     """Expand prod 1/(1 - c_k * x^(a_k)) as a series through ``valid_degree``.
 
     Every factor must literally be 1 minus a single monomial of positive
-    total degree; each contributes a geometric series, multiplied out with
-    truncation.
+    total degree.  As 1/(1 - c x^e) = prod_{j >= 0} (1 + (c x^e)^(2^j)), each
+    factor is a run of factor steps on one carried term dict, doubling e and
+    squaring c while e fits the bound; a factor above it adds nothing.
     """
     valid_degree = _integer(valid_degree, "degree bound")
     if not factors:
         raise ValueError("need at least one factor")
     nv = factors[0].nvars
-    result = TruncatedSeries(MultiPoly.one(nv), valid_degree)
+    cut = 2 * valid_degree
+    terms = {(0,) * nv: 1}
     for f in factors:
         if f.nvars != nv:
             raise ValueError("factors must share one variable set")
         e, c = _geometric_factor(f)
-        step = sum(e)
-        terms: dict[tuple[int, ...], int] = {}
-        k = 0
-        coef = 1
-        while k * step <= 2 * valid_degree:
-            terms[tuple(k * x for x in e)] = coef
-            coef *= c
-            k += 1
-        result = result * MultiPoly._of(nv, terms)
-    return result
+        while sum(e) <= cut:
+            terms = _times_binomial(terms, e, c, cut)
+            e, c = tuple(2 * x for x in e), c * c
+    return TruncatedSeries._of(MultiPoly._of(nv, terms), valid_degree)

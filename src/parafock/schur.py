@@ -20,13 +20,15 @@ Four engines compute s_lambda:
 * ``tab`` - monomial sum over semistandard tableaux.
 
 Hook Schur polynomials come either from the same branching rule run over
-all n + m variables (``br``: each odd variable removes a vertical strip,
-hs_lambda(x; y_1..y_j) = sum over nu of hs_nu(x; y_1..y_{j-1})
-y_j^{|lambda/nu|}; Macdonald I.5, Berele & Regev 1987) or from
-super-semistandard tableaux (``tab``).  hs_lambda vanishes exactly when the
-diagram does not fit in the (n|m) hook.  Determinants, all taken by
-``polyring._det``, serve only the ``jt`` and ``alt`` oracles and
-``skew_schur``.
+all n + m variables (``br``) or from super-semistandard tableaux
+(``tab``).  Each odd variable removes a vertical strip, hs_lambda(x;
+y_1..y_j) = sum over nu of hs_nu(x; y_1..y_{j-1}) y_j^{|lambda/nu|}
+(Macdonald I.5, Berele & Regev 1987), and nu/kappa is a vertical strip
+exactly when kappa' interlaces nu': the odd variables branch the
+conjugates, under one row cap that suffices for the hook.  hs_lambda
+vanishes exactly when the diagram does not fit in the (n|m) hook.
+Determinants, all taken by ``polyring._det``, serve only the ``jt`` and
+``alt`` oracles and ``skew_schur``.
 
 All ``tab`` engines (plain, skew and hook) share one super-tableau
 enumerator; with no odd letters (m = 0) its tableaux are the ordinary
@@ -42,9 +44,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, product
 
-from .partitions import Partition, _integer, as_partition, enumerate_partitions
+from .partitions import Partition, _column_lengths, _integer, as_partition, enumerate_partitions
 from .polyring import MultiPoly, TruncatedSeries, _det
 
 __all__ = [
@@ -223,6 +225,11 @@ def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly
     splits each nu into the kappa with nu/kappa a horizontal (z_k even) or
     vertical (z_k odd) strip that fit the hook of the variables left, and
     gives z_k the exponent |nu/kappa|; what cancels is dropped where it meets.
+    A vertical strip is a horizontal one of the conjugates, so with m > 0 the
+    carry holds nu' until the first even variable.  Either way kappa
+    interlaces nu, rows from ``first`` on (from 0) capped at ``cap``: k rows
+    for an even z_k, the (n | k - n) hook for an odd one.  That cap suffices
+    and leaves no range empty, since nu' is at most n from row k - n + 1 on.
     """
     n, m = ctx.n, ctx.m if hook else 0
     seeds: dict[tuple[int, ...], int] = {}
@@ -231,29 +238,20 @@ def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly
         if len(rows) <= n or rows[n] <= m:
             seeds[rows] = seeds.get(rows, 0) + c
     tail = (0,) * (ctx.nvars - n - m)  # the odd variables of a plain sum
-    carry = {nu: {tail: c} for nu, c in seeds.items() if c}
+    carry = {(_column_lengths(nu) if m else nu): {tail: c} for nu, c in seeds.items() if c}
     k = n + m
     while k:
         k -= 1
+        first, cap = (k - n, n) if k >= n else (k, 0)
+        if m and k == n - 1:
+            carry = {_column_lengths(nu): terms for nu, terms in carry.items()}
         below: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for nu, terms in carry.items():
             if not terms:
                 continue
-            if k < n:
-                # nu has at most k + 1 rows; kappa interlaces it in k rows
-                rows = nu + (0,) * (k + 1 - len(nu))
-                strips = product(*(range(rows[i + 1], rows[i] + 1) for i in range(k)))
-            else:
-                # the bottom j rows of each run of r equal rows lose a box; if
-                # row n + 1 is too long for the k - n odd variables left, its
-                # run takes j past it
-                blocks, end = [], 0
-                for v, run in groupby(nu):
-                    r = len(list(run))
-                    end += r
-                    low = end - n if end - r <= n < end and v > k - n else 0
-                    blocks.append([(v,) * (r - j) + (v - 1,) * j for j in range(low, r + 1)])
-                strips = (sum(pick, ()) for pick in product(*blocks))
+            rows = nu + (0,)
+            tops = (v if i < first else min(v, cap) for i, v in enumerate(nu))
+            strips = product(*(range(rows[i + 1], top + 1) for i, top in enumerate(tops)))
             size = sum(nu)
             for kappa in strips:
                 kappa = kappa[: len(kappa) - kappa.count(0)]

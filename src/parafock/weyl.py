@@ -134,8 +134,8 @@ class SignedPermutation:
     __slots__ = ("word", "signs")
 
     def __init__(self, word, signs):
-        self.word: tuple[int, ...] = tuple(int(w) for w in word)
-        self.signs: tuple[int, ...] = tuple(int(s) for s in signs)
+        self.word: tuple[int, ...] = tuple(_integer(w, "word entry", float("-inf")) for w in word)
+        self.signs: tuple[int, ...] = tuple(_integer(s, "sign", float("-inf")) for s in signs)
         n = len(self.word)
         if sorted(self.word) != list(range(1, n + 1)):
             raise ValueError(f"{self.word} is not a permutation of 1..{n}")

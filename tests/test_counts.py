@@ -35,7 +35,16 @@ from parafock.partitions import (
 )
 from parafock.polyring import MultiPoly, TruncatedSeries, expand_inverse_product
 from parafock.schur import SchurContext, hook_schur, schur, schur_sum
-from parafock.weyl import RootSystemB, Weight, alternant, dim_gl, dim_so, omega_I, w1_element
+from parafock.weyl import (
+    RootSystemB,
+    SignedPermutation,
+    Weight,
+    alternant,
+    dim_gl,
+    dim_so,
+    omega_I,
+    w1_element,
+)
 
 X = MultiPoly.variable(1, 0)
 
@@ -216,6 +225,34 @@ DEFECTS = {
 def test_former_defects_raise(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+# (argument name, call with one entry set to v) for the constructors that
+# take entries rather than counts; each truncated a fraction with int()
+ENTRIES = {
+    "Partition": ("part", lambda v: Partition([v, 1])),
+    "Partition.from_json": ("part", lambda v: Partition.from_json([v])),
+    "SignedPermutation.word": ("word entry", lambda v: SignedPermutation([2, v], [1, 1])),
+    "SignedPermutation.signs": ("sign", lambda v: SignedPermutation([2, 1], [v, 1])),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, "3"])
+@pytest.mark.parametrize("name, call", ENTRIES.values(), ids=ENTRIES.keys())
+def test_a_constructor_rejects_an_entry_that_is_not_whole(name, call, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(value)
+
+
+def test_a_constructor_takes_an_integral_entry_as_its_int():
+    for lam in (Partition([3.0, True]), Partition.from_json([3.0, True])):
+        assert lam.parts == (3, 1) and all(type(x) is int for x in lam.parts)
+    sigma = SignedPermutation([2.0, True], [True, -1.0])
+    assert (sigma.word, sigma.signs) == ((2, 1), (1, -1))
+    assert all(type(x) is int for x in sigma.word + sigma.signs)
+    # the public Schur functions coerce through Partition, with the same message
+    with pytest.raises(ValueError, match=re.escape("part must be an integer, got 2.5")):
+        schur([2.5], SchurContext(2))
 
 
 def test_former_crashes_on_whole_floats_now_run():

@@ -421,6 +421,42 @@ def test_expand_inverse_product_validation():
         expand_inverse_product([one - x, MultiPoly.one(2) - MultiPoly.variable(2, 0)], 3)
 
 
+def geometric_series_oracle(factors, bound):
+    """prod 1/(1 - c x^e) as the product of truncated geometric series."""
+    nv = factors[0].nvars
+    result = TruncatedSeries(MultiPoly.one(nv), bound)
+    for f in factors:
+        ((e, c),) = ((e, -c) for e, c in f.terms.items() if any(e))
+        terms, k = {}, 0
+        while k * sum(e) <= 2 * bound:
+            terms[tuple(k * x for x in e)] = c ** k
+            k += 1
+        result = result * MultiPoly(nv, terms)
+    return result
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("bound", range(10))
+def test_expand_inverse_product_matches_the_geometric_series(nvars, bound):
+    one = MultiPoly.one(nvars)
+    factors = []
+    for c, degree in itertools.product((1, -1, 2, -3), (1, 2, 3)):
+        e = [0] * nvars
+        for i in range(degree):
+            e[i % nvars] += 2
+        factors.append(one - MultiPoly.half_term(nvars, e, c))
+    # x1^(1/2) ... xn^(1/2), of half-unit degree when nvars is odd
+    factors.append(one + MultiPoly.half_term(nvars, (1,) * nvars))
+    for f in factors:
+        assert expand_inverse_product([f], bound) == geometric_series_oracle([f], bound), f
+    whole = expand_inverse_product(factors, bound)
+    assert whole == geometric_series_oracle(factors, bound)
+    # a factor above the bound leaves the series as it is
+    high = one - MultiPoly.half_term(nvars, (2 * bound + 1,) + (0,) * (nvars - 1), -3)
+    assert expand_inverse_product(factors + [high], bound) == whole
+    assert expand_inverse_product([high], bound) == TruncatedSeries(one, bound)
+
+
 # -- determinants -----------------------------------------------------------------
 
 def leibniz(mat):

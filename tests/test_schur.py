@@ -244,7 +244,7 @@ def test_branching_engine_returns_a_fresh_polynomial():
     assert hook_schur(lam, ctx) == expected
 
 
-@pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(5 - n)])
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(6 - n)])
 @settings(max_examples=12, deadline=None)
 @given(st.data())
 def test_one_branching_pass_expands_a_family_like_the_tableau_engine(n, m, data):
@@ -284,6 +284,65 @@ def test_hook_engines_agree():
     ctx = SchurContext(1, 1)
     for lam in ([2] + [1] * 7, [1] * 9, [2, 2, 2, 1, 1, 1]):
         assert hook_schur(lam, ctx, "br") == hook_schur(lam, ctx, "tab")
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (0, 4), (1, 1), (1, 2), (1, 3), (2, 2)])
+def test_hook_branching_matches_tableaux_on_wide_diagrams(n, m):
+    # wide diagrams have long conjugates, which the odd variables branch; with
+    # n = 0 the pass never turns back to rows
+    ctx = SchurContext(n, m)
+    for lam in ([9], [7, 2], [5, 5, 1], [4, 4, 4], [6, 3, 1]):
+        assert hook_schur(lam, ctx, "br") == hook_schur(lam, ctx, "tab"), lam
+
+
+def splits_oracle(lam, n, m):
+    """Number of (nu, kappa) splits in a branching pass over hs_lam in (n|m)
+    variables that keeps only the kappa fitting the hook of the variables
+    left: a vertical strip off nu for an odd variable, a horizontal one for
+    an even variable, found by scanning every smaller diagram."""
+    carry, count = {tuple(lam)}, 0
+    for k in range(n + m - 1, -1, -1):
+        below = set()
+        for nu in carry:
+            rows = nu + (0,)
+            for kappa in enumerate_partitions(max_size=sum(nu)):
+                if len(kappa) > len(nu) or any(kappa[i] > nu[i] for i in range(len(kappa))):
+                    continue
+                if k >= n:
+                    split = all(nu[i] - kappa.part(i) <= 1 for i in range(len(nu)))
+                    fits = hook_condition(kappa, n, k - n)
+                else:
+                    split = all(kappa.part(i) >= rows[i + 1] for i in range(len(nu)))
+                    fits = len(kappa) <= k
+                if split and fits:
+                    below.add(kappa.parts)
+                    count += 1
+        carry = below
+    return count
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (1, 2), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_the_pass_splits_each_diagram_only_into_what_fits(monkeypatch, n, m):
+    # a split whose kappa no longer fits could never reach the empty
+    # diagram, so only counting the splits shows that none is made
+    schur_module = importlib.import_module("parafock.schur")
+    real, made = schur_module.product, []
+
+    def counted(*ranges):
+        splits = list(real(*ranges))
+        made.append(len(splits))
+        return iter(splits)
+
+    monkeypatch.setattr(schur_module, "product", counted)
+    ctx = SchurContext(n, m)
+    for lam in ([3, 2], [4, 1, 1], [2, 2, 2, 1], [5, 3], [3, 3, 2, 1]):
+        made.clear()
+        hook_schur(lam, ctx)
+        expected = splits_oracle(lam, n, m) if hook_condition(Partition(lam), n, m) else 0
+        assert sum(made) == expected, lam
+        made.clear()
+        schur(lam, ctx)
+        assert sum(made) == (splits_oracle(lam, n, 0) if len(lam) <= n else 0), lam
 
 
 # -- classical properties -----------------------------------------------------------
