@@ -240,128 +240,69 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _add_format(sp) -> None:
-    sp.add_argument("--format", choices=("json", "tsv"), default="json", help="output format")
+# Options that several commands share, each a (flag, add_argument kwargs)
+# pair; argparse copies the kwargs, so one dict serves every parser, and its
+# values stay immutable
+_FORMAT = ("--format", {"choices": ("json", "tsv"), "default": "json", "help": "output format"})
+_FORCE = ("--force", {"action": "store_true", "help": "override the rank limit"})
+_RANK = ("--n", {"type": int, "required": True, "help": "rank"})
+_EVEN = ("--n", {"type": int, "required": True, "help": "number of even variables"})
+_ORDER = ("--p", {"type": int, "required": True, "help": "order of parastatistics"})
+_LAMBDA = ("--lambda", {"dest": "lam", "default": "", "help": "partition, e.g. 2,1"})
 
-
-def _schur_args(sp) -> None:
-    sp.add_argument("--lambda", dest="lam", default="", help="partition, e.g. 2,1")
-    sp.add_argument("--n", type=int, required=True, help="number of even variables")
-    sp.add_argument("--m", type=int, default=0, help="number of odd variables")
-    sp.add_argument(
-        "--algorithm",
-        choices=("gt", "jt", "alt", "tab"),
-        default="gt",
-        help=(
-            "branching rule (gt), determinant (jt), bialternant quotient (alt)"
-            " or tableau sum (tab)"
-        ),
-    )
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_poly, engine=schur)
-
-
-def _hook_schur_args(sp) -> None:
-    sp.add_argument("--lambda", dest="lam", default="", help="partition, e.g. 2,1")
-    sp.add_argument("--n", type=int, required=True, help="number of even variables")
-    sp.add_argument("--m", type=int, required=True, help="number of odd variables")
-    sp.add_argument(
-        "--algorithm",
-        choices=("br", "tab"),
-        default="br",
-        help="branching rule (br) or super-tableau sum (tab)",
-    )
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_poly, engine=hook_schur)
-
-
-def _w1_args(sp) -> None:
-    sp.add_argument("--n", type=int, required=True, help="rank")
-    sp.add_argument("--force", action="store_true", help="override the rank limit")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_w1)
-
-
-def _cohomology_args(sp) -> None:
-    sp.add_argument("--n", type=int, required=True, help="rank")
-    sp.add_argument("--p", type=int, required=True, help="order of parastatistics")
-    sp.add_argument(
-        "--route",
-        choices=("partitions", "w1"),
-        default="partitions",
-        help="which independent construction to run",
-    )
-    sp.add_argument("--force", action="store_true", help="override the rank limit")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_cohomology)
-
-
-def _branch_args(sp) -> None:
-    sp.add_argument("--n", type=int, required=True, help="rank")
-    sp.add_argument("--p", type=int, required=True, help="order of parastatistics")
-    sp.add_argument("--force", action="store_true", help="override the rank limit")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_branch)
-
-
-def _dims_args(sp) -> None:
-    sp.add_argument("--n", type=int, required=True, help="rank")
-    sp.add_argument("--p", type=int, required=True, help="order of parastatistics")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_dims)
-
-
-def _verify_args(sp) -> None:
-    sp.add_argument(
-        "--identity",
-        required=True,
-        choices=("parafermion", "paraboson", "parastat", "weyl-character"),
-    )
-    sp.add_argument("--n", required=True, help="rank, or inclusive range like 1..3")
-    sp.add_argument("--m", help="odd variables, int or range (parastat only)")
-    sp.add_argument("--p", required=True, help="order, int or inclusive range")
-    sp.add_argument(
-        "--degree",
-        type=int,
-        help=f"truncation bound, paraboson and parastat only (default ${DEGREE_ENV}, "
-        f"else {DEFAULT_DEGREES['paraboson']} for paraboson, {DEFAULT_DEGREES['parastat']} "
-        "for parastat)",
-    )
-    sp.add_argument(
-        "--sweep",
-        action="store_true",
-        help="marker flag; ranges in --n/--m/--p always sweep",
-    )
-    sp.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 if any emitted report fails",
-    )
-    sp.add_argument(
-        "--alt-denominator",
-        action="store_true",
-        help="paraboson only: also run and report the symmetric-square denominator variant",
-    )
-    sp.add_argument("--force", action="store_true", help="override the rank limit")
-    sp.add_argument(
-        "--timings",
-        action="store_true",
-        help="report real millis (off by default so output is reproducible)",
-    )
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_verify)
-
-
-# name -> (help, the function that adds the subcommand's arguments), in the
-# order the full help lists them
+# name -> (help, options in the order the help lists them, set_defaults), in
+# the order the full help lists the commands
 COMMANDS = {
-    "schur": ("Schur polynomial of a partition", _schur_args),
-    "hook-schur": ("hook (supersymmetric) Schur polynomial", _hook_schur_args),
-    "w1": ("minimal-length coset representatives", _w1_args),
-    "cohomology": ("nilradical cohomology table", _cohomology_args),
-    "branch": ("branching character of the level-p module", _branch_args),
-    "dims": ("module dimensions: per-diagram and totals", _dims_args),
-    "verify": ("check a character identity", _verify_args),
+    "schur": ("Schur polynomial of a partition", (
+        _LAMBDA,
+        _EVEN,
+        ("--m", {"type": int, "default": 0, "help": "number of odd variables"}),
+        ("--algorithm", {"choices": ("gt", "jt", "alt", "tab"), "default": "gt", "help": (
+            "branching rule (gt), determinant (jt), bialternant quotient (alt)"
+            " or tableau sum (tab)")}),
+        _FORMAT,
+    ), {"func": _cmd_poly, "engine": schur}),
+    "hook-schur": ("hook (supersymmetric) Schur polynomial", (
+        _LAMBDA,
+        _EVEN,
+        ("--m", {"type": int, "required": True, "help": "number of odd variables"}),
+        ("--algorithm", {"choices": ("br", "tab"), "default": "br",
+                         "help": "branching rule (br) or super-tableau sum (tab)"}),
+        _FORMAT,
+    ), {"func": _cmd_poly, "engine": hook_schur}),
+    "w1": ("minimal-length coset representatives", (_RANK, _FORCE, _FORMAT), {"func": _cmd_w1}),
+    "cohomology": ("nilradical cohomology table", (
+        _RANK,
+        _ORDER,
+        ("--route", {"choices": ("partitions", "w1"), "default": "partitions",
+                     "help": "which independent construction to run"}),
+        _FORCE,
+        _FORMAT,
+    ), {"func": _cmd_cohomology}),
+    "branch": ("branching character of the level-p module", (_RANK, _ORDER, _FORCE, _FORMAT),
+               {"func": _cmd_branch}),
+    "dims": ("module dimensions: per-diagram and totals", (_RANK, _ORDER, _FORMAT),
+             {"func": _cmd_dims}),
+    "verify": ("check a character identity", (
+        ("--identity", {"required": True,
+                        "choices": ("parafermion", "paraboson", "parastat", "weyl-character")}),
+        ("--n", {"required": True, "help": "rank, or inclusive range like 1..3"}),
+        ("--m", {"help": "odd variables, int or range (parastat only)"}),
+        ("--p", {"required": True, "help": "order, int or inclusive range"}),
+        ("--degree", {"type": int, "help": (
+            f"truncation bound, paraboson and parastat only (default ${DEGREE_ENV}, "
+            f"else {DEFAULT_DEGREES['paraboson']} for paraboson, {DEFAULT_DEGREES['parastat']} "
+            "for parastat)")}),
+        ("--sweep", {"action": "store_true",
+                     "help": "marker flag; ranges in --n/--m/--p always sweep"}),
+        ("--strict", {"action": "store_true", "help": "exit 1 if any emitted report fails"}),
+        ("--alt-denominator", {"action": "store_true", "help": (
+            "paraboson only: also run and report the symmetric-square denominator variant")}),
+        _FORCE,
+        ("--timings", {"action": "store_true",
+                       "help": "report real millis (off by default so output is reproducible)"}),
+        _FORMAT,
+    ), {"func": _cmd_verify}),
 }
 
 
@@ -390,8 +331,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # its "invalid choice" and "required" errors
         sub = parser.add_subparsers(dest="command", required=True)
         table = COMMANDS
-    for name, (help_text, add_arguments) in table.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, options, defaults) in table.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(**defaults)
     return parser
 
 

@@ -211,13 +211,6 @@ def branching_character(n: int, p: int) -> MultiPoly:
     return schur_sum(("max_columns", p), ctx, math.inf).poly
 
 
-def _denominator_factors(n: int) -> list[MultiPoly]:
-    """Factors 1 - x_i and 1 - x_i x_j (i < j) in n variables."""
-    one = MultiPoly.one(n)
-    xs = [MultiPoly.variable(n, i) for i in range(n)]
-    return [one - x for x in xs] + [one - xs[i] * xs[j] for i, j in combinations(range(n), 2)]
-
-
 def _euler_characteristic(entries) -> dict[tuple[int, ...], int]:
     """Euler-Poincare characteristic in the Schur basis: each entry's
     mu^(p) with sign (-1)^k, as {rows: coefficient}."""
@@ -230,8 +223,10 @@ def _euler_characteristic(entries) -> dict[tuple[int, ...], int]:
 def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSeries:
     """Character of the k-th term of the resolution through degree D =
     ``valid_degree``: (sum of s_{mu^(p)} at degree k) times the character of
-    the nilradical's symmetric algebra.  s_{mu^(p)} is homogeneous of degree
-    |mu^(p)|, so the table is bounded at D: a larger entry adds only above D."""
+    U(n) for the nilradical n, prod 1/(1 - x^alpha) over its roots alpha = e_i
+    and e_i + e_j, whose half-unit coordinates are the monomials' exponents.
+    s_{mu^(p)} is homogeneous of degree |mu^(p)|, so the table is bounded at
+    D: a larger entry adds only above D."""
     n, p, k = _integer(n, "n", 1), _integer(p, "p"), _integer(k, "k")
     D = _integer(valid_degree, "degree bound")
     table = cohomology_via_partitions(n, p, D)
@@ -239,7 +234,9 @@ def resolution_character(n: int, p: int, k: int, valid_degree) -> TruncatedSerie
         raise ValueError(f"k={k} outside 0..{table.max_degree()}")
     degree_k = ((e.diagram.parts, 1) for e in table.entries_at(k))
     numerator = _schur_expansion(degree_k, SchurContext(n))
-    universal = expand_inverse_product(_denominator_factors(n), D)
+    one = MultiPoly.one(n)
+    factors = [one - MultiPoly.half_term(n, a.coords) for a in RootSystemB(n).nilradical_roots]
+    universal = expand_inverse_product(factors, D)
     return TruncatedSeries._of(numerator, math.inf) * universal
 
 
@@ -616,7 +613,6 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     # 2a + 1 + p <= D, lies in the ((D + 1 - p) // 2)-square, so the square
     # cuts nothing that the budget keeps.
     table = cohomology_via_partitions(max((D + 1 - p) // 2, 1), p, D)
-    kept = [e for e in table.entries if e.diagram.part(n) <= m]
 
     def times_factors(terms, c, factors):
         # each factor 1 + c x^e named by the variables in e: x_i or x_i x_j
@@ -626,8 +622,9 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
         return terms
 
     # hs_{mu^(p)} is homogeneous of degree |mu^(p)| <= D, so both starting
-    # sums lie within the cut, as the factor step requires
-    euler = _schur_expansion(_euler_characteristic(kept).items(), ctx, hook=True)
+    # sums lie within the cut, as the factor step requires; the branching
+    # pass drops the mu^(p) outside the (n|m) hook, where hs vanishes
+    euler = _schur_expansion(_euler_characteristic(table.entries).items(), ctx, hook=True)
     lhs = times_factors(euler.terms, 1, product(range(n), range(n, nv)))
     same = [*combinations(range(n), 2), *combinations(range(n, nv), 2)]
     rhs = times_factors(

@@ -192,8 +192,8 @@ class FrobeniusForm(_FrozenRecord):
     __slots__ = ("arms", "legs")
 
     def __init__(self, arms: tuple[int, ...], legs: tuple[int, ...]) -> None:
-        arms = tuple(int(a) for a in arms)
-        legs = tuple(int(b) for b in legs)
+        arms = tuple(_integer(a, "arm", float("-inf")) for a in arms)
+        legs = tuple(_integer(b, "leg", float("-inf")) for b in legs)
         if len(arms) != len(legs):
             raise ValueError("arms and legs must have the same length")
         for seq, name in ((arms, "arms"), (legs, "legs")):

@@ -56,7 +56,16 @@ class Weight:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords: tuple[int, ...] = tuple(int(c) for c in coords)
+        self.coords: tuple[int, ...] = tuple(
+            _integer(c, "coordinate", float("-inf")) for c in coords
+        )
+
+    @classmethod
+    def _of(cls, coords: tuple[int, ...]) -> "Weight":
+        """Wrap coordinates the library computed itself, without checking."""
+        v = object.__new__(cls)
+        v.coords = coords
+        return v
 
     @property
     def n(self) -> int:
@@ -64,7 +73,7 @@ class Weight:
 
     @classmethod
     def zero(cls, n: int) -> "Weight":
-        return cls((0,) * _integer(n, "n"))
+        return cls._of((0,) * _integer(n, "n"))
 
     @classmethod
     def basis(cls, i: int, n: int) -> "Weight":
@@ -72,28 +81,26 @@ class Weight:
         n, i = _integer(n, "n"), _integer(i, "index", float("-inf"))
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of range 1..{n}")
-        c = [0] * n
-        c[i - 1] = 2
-        return cls(c)
+        return cls._of((0,) * (i - 1) + (2,) + (0,) * (n - i))
 
     @classmethod
     def rho(cls, n: int) -> "Weight":
         """Half-sum of the positive roots: coordinates (2n-2i+1)/2."""
-        return cls(range(2 * _integer(n, "n") - 1, 0, -2))
+        return cls._of(tuple(range(2 * _integer(n, "n") - 1, 0, -2)))
 
     @classmethod
     def p_theta(cls, n: int, p: int) -> "Weight":
         """p/2 times the all-ones vector (the level-p highest weight)."""
-        return cls((_integer(p, "p"),) * _integer(n, "n"))
+        return cls._of((_integer(p, "p"),) * _integer(n, "n"))
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(a + b for a, b in zip(self.coords, other.coords, strict=True))
+        return Weight._of(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(a - b for a, b in zip(self.coords, other.coords, strict=True))
+        return Weight._of(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> "Weight":
-        return Weight(-c for c in self.coords)
+        return Weight._of(tuple(-c for c in self.coords))
 
     def pairing(self, other: "Weight") -> int:
         """Standard inner product, scaled by 4 (exact; ratios are unscaled)."""
@@ -106,7 +113,7 @@ class Weight:
 
     def reversed_negated(self) -> "Weight":
         """Negate and reverse the coordinates (lowest-to-highest reflection)."""
-        return Weight(-c for c in reversed(self.coords))
+        return Weight._of(tuple(-c for c in reversed(self.coords)))
 
     def to_partition(self) -> Partition:
         if any(c % 2 for c in self.coords):
@@ -191,7 +198,7 @@ class SignedPermutation:
         out = [0] * self.n
         for j in range(self.n):
             out[self.word[j] - 1] = self.signs[j] * v.coords[j]
-        return Weight(out)
+        return Weight._of(tuple(out))
 
     def __eq__(self, other) -> bool:
         return (

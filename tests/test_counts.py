@@ -26,6 +26,7 @@ from parafock.kostant import (
     verify_weyl_character,
 )
 from parafock.partitions import (
+    FrobeniusForm,
     Partition,
     _integer,
     augment_arms,
@@ -234,10 +235,15 @@ ENTRIES = {
     "Partition.from_json": ("part", lambda v: Partition.from_json([v])),
     "SignedPermutation.word": ("word entry", lambda v: SignedPermutation([2, v], [1, 1])),
     "SignedPermutation.signs": ("sign", lambda v: SignedPermutation([2, 1], [v, 1])),
+    "Weight": ("coordinate", lambda v: Weight([2, v])),
+    "FrobeniusForm.arms": ("arm", lambda v: FrobeniusForm((v, 0), (1, 0))),
+    "FrobeniusForm.legs": ("leg", lambda v: FrobeniusForm((2, 0), (v, 0))),
+    "FrobeniusForm.from_json": ("arm",
+                                lambda v: FrobeniusForm.from_json({"arms": [v], "legs": [0]})),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, math.nan, "3"])
+@pytest.mark.parametrize("value", [2.5, 1.5, math.nan, "3"])
 @pytest.mark.parametrize("name, call", ENTRIES.values(), ids=ENTRIES.keys())
 def test_a_constructor_rejects_an_entry_that_is_not_whole(name, call, value):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
@@ -250,6 +256,17 @@ def test_a_constructor_takes_an_integral_entry_as_its_int():
     sigma = SignedPermutation([2.0, True], [True, -1.0])
     assert (sigma.word, sigma.signs) == ((2, 1), (1, -1))
     assert all(type(x) is int for x in sigma.word + sigma.signs)
+    weight = Weight([3.0, True, -2.0])
+    assert weight.coords == (3, 1, -2) and all(type(x) is int for x in weight.coords)
+    for form in (FrobeniusForm((3.0, True), (1.0, False)),
+                 FrobeniusForm.from_json({"arms": [3.0, True], "legs": [1.0, False]})):
+        assert (form.arms, form.legs) == ((3, 1), (1, 0))
+        assert all(type(x) is int for x in form.arms + form.legs)
+    # the order checks run on the whole entries, with their messages
+    with pytest.raises(ValueError, match=re.escape("arms must be non-negative: (1, -1)")):
+        FrobeniusForm((1.0, -1), (1, 0))
+    with pytest.raises(ValueError, match=re.escape("legs must be strictly decreasing: (1, 1)")):
+        FrobeniusForm((2, 0), (1.0, 1))
     # the public Schur functions coerce through Partition, with the same message
     with pytest.raises(ValueError, match=re.escape("part must be an integer, got 2.5")):
         schur([2.5], SchurContext(2))

@@ -452,11 +452,18 @@ def test_parafermion_reports_pass():
 
 # The whole-product oracle: the tests compare the verifiers, which never
 # expand the paraboson denominator, against it.
+def _denominator_factors(n: int) -> list[MultiPoly]:
+    """The factors 1 - x_i and 1 - x_i x_j (i < j) in n variables."""
+    one = MultiPoly.one(n)
+    xs = [MultiPoly.variable(n, i) for i in range(n)]
+    return [one - x for x in xs] + [one - xs[i] * xs[j] for i, j in combinations(range(n), 2)]
+
+
 def _paraboson_denominator(n: int, symmetric: bool) -> MultiPoly:
     """The whole denominator, expanded: the product of the 1 - x_i and the
     1 - x_i x_j (i < j), and for the symmetric variant the 1 - x_i^2."""
     one = MultiPoly.one(n)
-    factors = kostant._denominator_factors(n)
+    factors = _denominator_factors(n)
     if symmetric:
         factors += [one - MultiPoly.variable(n, i) ** 2 for i in range(n)]
     return math.prod(factors, start=one)
@@ -898,7 +905,7 @@ def test_resolution_character_matches_the_whole_table():
         for p in range(3):
             table = cohomology_via_partitions(n, p)
             for D in (0, 3, 6):
-                universal = polyring.expand_inverse_product(kostant._denominator_factors(n), D)
+                universal = polyring.expand_inverse_product(_denominator_factors(n), D)
                 for k in range(table.max_degree() + 1):
                     numerator = sum(
                         (schur(e.diagram, SchurContext(n)) for e in table.entries_at(k)),
@@ -993,34 +1000,57 @@ def _drop(chi, lam):
     ids=str,
 )
 def test_perturbed_parastat_euler_sum_fails_where_the_product_does(monkeypatch, case, perturb):
-    # one run per diagram of the Euler sum, each perturbing that diagram alone
-    real = kostant._euler_characteristic
-    sizes = []
+    # one run per diagram of the Euler sum, each perturbing that diagram
+    # alone; hs_lambda vanishes outside the (n|m) hook, so only a diagram
+    # inside it can change the verdict
+    _perturb_parastat_euler_sum(monkeypatch, case, perturb)
 
-    def count(entries):
+
+def _perturb_parastat_euler_sum(monkeypatch, case, perturb):
+    """Perturb each diagram of the Euler sum alone, and check that one inside
+    the hook fails where the whole product does and one outside it passes.
+    The diagrams outside the hook, in the order of the sum."""
+    n, m = case[:2]
+    real = kostant._euler_characteristic
+    unperturbed = []
+
+    def spy(entries):
         chi = real(entries)
-        sizes.append(len(chi))
+        unperturbed.append(list(chi))
         return chi
 
-    monkeypatch.setattr(kostant, "_euler_characteristic", count)
+    monkeypatch.setattr(kostant, "_euler_characteristic", spy)
     assert verify_parastat_identity(*case).passed
-    for index in range(sizes[0]):
+    outside = []
+    for lam in unperturbed[0]:
         used = []
 
         def perturbed(entries):
             chi = dict(real(entries))
-            perturb(chi, list(chi)[index])
+            perturb(chi, lam)
             used.append(chi)
             return chi
 
         monkeypatch.setattr(kostant, "_euler_characteristic", perturbed)
         rep = verify_parastat_identity(*case)
         assert len(used) == 1
-        assert rep.status == "fail", (case, index)
+        inside = len(lam) <= n or lam[n] <= m
+        if not inside:
+            outside.append(lam)
+        assert rep.status == ("fail" if inside else "pass"), (case, lam)
         assert (rep.status, rep.first_discrepancy) == _parastat_by_product(*case, used[0]), (
             case,
-            index,
+            lam,
         )
+    return outside
+
+
+@pytest.mark.parametrize("perturb", [_bump, _drop], ids=["bump", "drop"])
+def test_a_perturbed_diagram_outside_the_hook_leaves_parastat_passing(monkeypatch, perturb):
+    # the table's square holds mu^(p) that overflow the (1|1) hook; the
+    # branching pass drops them, perturbed or not
+    outside = _perturb_parastat_euler_sum(monkeypatch, (1, 1, 1, 8), perturb)
+    assert outside == [(3, 3), (4, 3, 1)]
 
 
 def test_parastat_multiplies_in_one_factor_at_a_time(monkeypatch):
