@@ -293,8 +293,6 @@ COMMANDS = {
             f"truncation bound, paraboson and parastat only (default ${DEGREE_ENV}, "
             f"else {DEFAULT_DEGREES['paraboson']} for paraboson, {DEFAULT_DEGREES['parastat']} "
             "for parastat)")}),
-        ("--sweep", {"action": "store_true",
-                     "help": "marker flag; ranges in --n/--m/--p always sweep"}),
         ("--strict", {"action": "store_true", "help": "exit 1 if any emitted report fails"}),
         ("--alt-denominator", {"action": "store_true", "help": (
             "paraboson only: also run and report the symmetric-square denominator variant")}),

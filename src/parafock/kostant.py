@@ -80,7 +80,6 @@ from .weyl import (
     weight_monomial,
     _check_alternant_rank,
     _inverted,
-    _is_weyl_invariant,
     _straighten,
     _straighten_type_a,
     _w1_word,
@@ -367,16 +366,22 @@ def _brauer_product(chi: MultiPoly, p: int) -> dict[tuple[int, ...], int] | None
     x^{-(p/2)1} chi, as {strictly dominant nu: coefficient of D_nu}; None
     when chi' is not Weyl-invariant.
 
-    For invariant chi' = sum m_mu exp(mu), Brauer's formula gives
-    sum m_mu D_{rho + mu}, each term straightened.  The monomial x^e is
-    exp(-e), so it contributes D_{rho - e}.
+    Invariance is read on chi's own terms under the simple reflections,
+    which generate the group: the adjacent swaps, which commute with the
+    shift, and the last sign change, on chi the reflection about p/2 (x_n^e
+    to x_n^{2p - e} in half units).  For invariant chi' = sum m_mu exp(mu),
+    Brauer's formula gives sum m_mu D_{rho + mu}, each term straightened;
+    x^e in chi is exp(p theta - e), so it contributes D_{rho + p theta - e}.
     """
-    n = chi.nvars
-    shifted = MultiPoly._of(n, {tuple(x - p for x in e): c for e, c in chi.terms.items()})
-    if not _is_weyl_invariant(shifted):
-        return None
-    rho = Weight.rho(n).coords
-    pairs = (([r - x for r, x in zip(rho, e)], c) for e, c in shifted.terms.items())
+    terms, n = chi.terms, chi.nvars
+    for e, c in terms.items():
+        for i in range(n - 1):
+            if terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]) != c:
+                return None
+        if terms.get(e[:-1] + (2 * p - e[-1],)) != c:
+            return None
+    top = range(2 * n - 1 + p, p, -2)  # rho + p theta
+    pairs = (([t - x for t, x in zip(top, e)], c) for e, c in terms.items())
     return _straightened(pairs, _straighten)
 
 
@@ -384,14 +389,19 @@ def _straightened(pairs, straighten) -> dict[tuple[int, ...], int]:
     """sum c sign [nu] over the pairs (v, c), as {nu: coefficient} without
     zeros, where ``straighten(v)`` is (sign, nu), or None when v's alternant
     vanishes: ``_straighten`` for D_v (type B), ``_straighten_type_a`` for
-    a_v / a_delta = sign s_nu (type A)."""
+    a_v / a_delta = sign s_nu (type A).  Cancelled coefficients are
+    dropped where they meet, so no other dict is built."""
     out: dict[tuple[int, ...], int] = {}
     for v, c in pairs:
         hit = straighten(v)
         if hit is not None:
             sign, nu = hit
-            out[nu] = out.get(nu, 0) + sign * c
-    return {nu: c for nu, c in out.items() if c}
+            total = out.get(nu, 0) + sign * c
+            if total:
+                out[nu] = total
+            else:
+                out.pop(nu, None)
+    return out
 
 
 def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
@@ -486,23 +496,32 @@ def verify_paraboson_identity(
     each, and the left side is the parafermionic one with conjugate
     diagrams.  Truncation at degree D keeps exactly the s_nu with
     |nu| <= D, because s_nu is homogeneous of degree |nu|.
+
+    The compared maps hold only nu with |nu| <= D, so with at most D rows.
+    Each denominator orbit is the n-variable specialisation of a symmetric
+    power series, and restriction to N variables kills the s_nu with more
+    than N rows and keeps the rest independent (Macdonald I.3); so N =
+    min(n, max(D, 1)) variables (never none) give the maps at n.
+    The table, family and carry are built in N variables, and a failure is
+    still located in n.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
     if denominator not in ("printed", "symmetric"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
     t0 = time.perf_counter()
     D = _integer(valid_degree, "degree bound")
-    # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < n - p give a
-    # nonzero Schur polynomial in n variables: the (n-p) x (n-p) square.
+    N = min(n, max(D, 1))
+    # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < N - p give a
+    # nonzero Schur polynomial in N variables: the (N-p) x (N-p) square.
     # Conjugation keeps |mu^(p)|, so the degree bound is the table's bound.
-    table = cohomology_via_partitions(max(n - p, 1), p, D)
+    table = cohomology_via_partitions(max(N - p, 1), p, D)
     lhs = {}
     for rows, c in _euler_characteristic(table.entries).items():
         cols = _column_lengths(rows)
-        if len(cols) <= n:
+        if len(cols) <= N:
             lhs[cols] = c
-    family = enumerate_partitions(max_length=min(p, n), max_size=D)
-    rhs = _denominator_times(n, denominator == "symmetric", family, D)
+    family = enumerate_partitions(max_length=min(p, N), max_size=D)
+    rhs = _denominator_times(N, denominator == "symmetric", family, D)
     disc = _schur_discrepancy(lhs, rhs, n)
     return _report("paraboson", n, None, p, D, disc, t0, denominator=denominator)
 

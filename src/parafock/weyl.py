@@ -389,24 +389,6 @@ def _straighten_type_a(exponents) -> tuple[int, tuple[int, ...]] | None:
     return sign, tuple(x for x in nu if x)
 
 
-def _is_weyl_invariant(poly: MultiPoly) -> bool:
-    """Whether poly is fixed by the Weyl group of B_n.
-
-    The adjacent swaps and the sign change of the last variable are the
-    simple reflections; they generate the group, so n lookups per term
-    decide invariance.
-    """
-    terms = poly.terms
-    n = poly.nvars
-    for e, c in terms.items():
-        for i in range(n - 1):
-            if terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]) != c:
-                return False
-        if n and terms.get(e[:-1] + (-e[-1],)) != c:
-            return False
-    return True
-
-
 def dim_so(highest: Weight, n: int) -> int:
     """Dimension of the so(2n+1) module with the given dominant highest weight.
 

@@ -199,11 +199,13 @@ def test_verify_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_sweep_flag_is_inert(capsys):
-    base = ("verify", "--identity", "parafermion", "--n", "1..2", "--p", "1")
-    _, plain, _ = run(capsys, *base)
-    _, swept, _ = run(capsys, *base, "--sweep")
-    assert plain == swept
+def test_verify_rejects_the_removed_sweep_flag(capsys):
+    # ranges in --n/--m/--p always sweep, so verify has no --sweep marker
+    code, out, err = run(capsys, "verify", "--identity", "parafermion", "--n", "1..2",
+                         "--p", "1", "--sweep")
+    assert code == 2
+    assert out == ""
+    assert "error: unrecognized arguments: --sweep" in err
 
 
 def test_verify_timings_flag_unzeroes_millis(capsys):

@@ -37,7 +37,7 @@ from parafock.partitions import (
     frobenius_decompose,
 )
 from parafock.polyring import MultiPoly, TruncatedSeries
-from parafock.schur import SchurContext, _sn_alternant, hook_schur, schur
+from parafock.schur import SchurContext, _schur_expansion, _sn_alternant, hook_schur, schur
 from parafock.weyl import (
     ALTERNANT_RANK_LIMIT,
     RootSystemB,
@@ -48,6 +48,7 @@ from parafock.weyl import (
     kostant_weight,
     w1_element,
     weight_monomial,
+    _straighten,
     _straighten_type_a,
 )
 from test_weyl import _phi_sigma_by_image
@@ -699,6 +700,47 @@ def test_brauer_map_matches_the_denominator_product():
             assert kostant._parafermion_times(n, p, family) == expected, (n, p)
 
 
+def _brauer_product_by_shifted_copy(chi, p):
+    """The Brauer product by its definition: shift chi by -p/2 into a copy,
+    check the copy against the simple reflections (adjacent swaps and the
+    last sign change), then straighten rho - e for each term x^e."""
+    n = chi.nvars
+    shifted = {tuple(x - p for x in e): c for e, c in chi.terms.items()}
+    for e, c in shifted.items():
+        for i in range(n - 1):
+            if shifted.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]) != c:
+                return None
+        if shifted.get(e[:-1] + (-e[-1],)) != c:
+            return None
+    rho, out = Weight.rho(n).coords, {}
+    for e, c in shifted.items():
+        hit = _straighten([r - x for r, x in zip(rho, e)])
+        if hit is not None:
+            out[hit[1]] = out.get(hit[1], 0) + hit[0] * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+def test_brauer_product_matches_the_shifted_copy():
+    for n in range(1, 6):
+        for p in range(4):
+            chi = branching_character(n, p)
+            coeffs = kostant._brauer_product(chi, p)
+            assert coeffs is not None and coeffs == _brauer_product_by_shifted_copy(chi, p)
+            # the weyl-character perturbation, invariant only at (1, 2),
+            # where 1 + 2 x1 + x1^2 is symmetric about x1; at p = 0 only a
+            # swap lookup sees that 1 + x1 is not invariant
+            plus_x1 = chi + MultiPoly.variable(n, 0)
+            expected = _brauer_product_by_shifted_copy(plus_x1, p)
+            assert kostant._brauer_product(plus_x1, p) == expected, (n, p)
+            assert (expected is None) == ((n, p) != (1, 2)), (n, p)
+            for perturb in (_drop_last, _add_outside, _double_last, _double_all):
+                kwargs = {"max_part": p, "max_length": n}
+                family = perturb(list(enumerate_partitions(**kwargs)), kwargs)
+                chi = _schur_expansion(((lam.parts, 1) for lam in family), SchurContext(n))
+                expected = _brauer_product_by_shifted_copy(chi, p)
+                assert kostant._brauer_product(chi, p) == expected, (n, p, perturb)
+
+
 def test_sign_patterns_of_the_top_weight_give_the_cohomology_table():
     # Kostant's theorem, combinatorially: D_{rho+p theta} alone, expanded
     # over its 2^n sign patterns and straightened in type A, is the Euler
@@ -784,6 +826,62 @@ def test_rank_six_paraboson_verdicts():
     assert rep.first_discrepancy == {
         "degree": 2,
         "monomial": [0, 0, 0, 0, 0, 0, 4],
+        "lhs": "0",
+        "rhs": "-1",
+    }
+
+
+def _paraboson_maps(n, p, D, symmetric):
+    """Both sides of the paraboson check as {nu: coefficient} maps, built in
+    n variables however large n is against D."""
+    table = cohomology_via_partitions(max(n - p, 1), p, D)
+    lhs = {}
+    for rows, c in kostant._euler_characteristic(table.entries).items():
+        cols = partitions._column_lengths(rows)
+        if len(cols) <= n:
+            lhs[cols] = c
+    family = enumerate_partitions(max_length=min(p, n), max_size=D)
+    return lhs, kostant._denominator_times(n, symmetric, family, D)
+
+
+@pytest.mark.parametrize("D", [0, 1, 2, 5, 8])
+def test_paraboson_maps_need_only_min_n_d_variables(monkeypatch, D):
+    # every compared nu has at most |nu| <= D rows, so restriction to
+    # min(n, D) variables loses none of them (Macdonald I.3)
+    real_times, real_discrepancy = kostant._denominator_times, kostant._schur_discrepancy
+    carried, compared = [], []
+
+    def spy_times(n, symmetric, family, degree=None):
+        carried.append(n)
+        return real_times(n, symmetric, family, degree)
+
+    def spy_discrepancy(lhs, rhs, n):
+        compared.append((lhs, rhs, n))
+        return real_discrepancy(lhs, rhs, n)
+
+    monkeypatch.setattr(kostant, "_denominator_times", spy_times)
+    monkeypatch.setattr(kostant, "_schur_discrepancy", spy_discrepancy)
+    for n in range(1, D + 4):
+        for p in range(4):
+            for symmetric in (False, True):
+                case = (n, p, D, symmetric)
+                maps = _paraboson_maps(n, p, D, symmetric)
+                if n > D:
+                    assert maps == _paraboson_maps(D, p, D, symmetric), case
+                carried.clear()
+                compared.clear()
+                verify_paraboson_identity(n, p, D, "symmetric" if symmetric else "printed")
+                assert carried == [min(n, max(D, 1))], case
+                assert compared == [(*maps, n)], case
+
+
+@pytest.mark.parametrize("n, p, D", [(12, 1, 8), (11, 2, 8), (13, 3, 9)])
+def test_symmetric_paraboson_failure_past_the_degree(n, p, D):
+    # carried in D variables, the failure is still located in n
+    rep = verify_paraboson_identity(n, p, D, "symmetric")
+    assert rep.first_discrepancy == {
+        "degree": 2,
+        "monomial": [0] * (n - 1) + [4],
         "lhs": "0",
         "rhs": "-1",
     }

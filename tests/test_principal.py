@@ -180,6 +180,13 @@ def test_the_printed_paraboson_identity_holds_at_the_frontier(n, p, D):
     assert paraboson_by_specialisation(n, p, D)
 
 
+@pytest.mark.parametrize("n, p, D", [(14, 2, 10), (16, 1, 8)])
+def test_the_printed_paraboson_check_passes_with_more_variables_than_degree(n, p, D):
+    # n > D: the library carries D variables, the oracle all n
+    assert verify_paraboson_identity(n, p, D).passed
+    assert paraboson_by_specialisation(n, p, D)
+
+
 @pytest.mark.parametrize("perturb", [_drop_last, _add_outside, _double_last, _double_all],
                          ids=["drop", "extra", "duplicate", "double"])
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parafock import weyl
+from parafock.kostant import _brauer_product
 from parafock.partitions import Partition
 from parafock.polyring import MultiPoly
 from parafock.schur import SchurContext, _sn_alternant, schur
@@ -25,7 +26,6 @@ from parafock.weyl import (
     phi_sigma,
     w1_element,
     weight_monomial,
-    _is_weyl_invariant,
     _straighten,
     _straighten_type_a,
 )
@@ -457,6 +457,7 @@ def test_type_a_straighten_frozen_values():
 
 
 def test_weyl_invariance_check():
+    # the Brauer product at p = 0 reads invariance off the terms themselves
     n = 3
     one = MultiPoly.one(n)
     orbit_e1 = MultiPoly.zero(n)
@@ -465,15 +466,15 @@ def test_weyl_invariance_check():
             e = [0] * n
             e[i] = s
             orbit_e1 = orbit_e1 + MultiPoly.half_term(n, e)
-    assert _is_weyl_invariant(orbit_e1 * orbit_e1 + one * 5)
+    assert _brauer_product(orbit_e1 * orbit_e1 + one * 5, 0) is not None
     d = alternant(Weight.rho(n))
-    assert _is_weyl_invariant(d * d)
+    assert _brauer_product(d * d, 0) is not None
     # antisymmetric, symmetric only under S_n, or only under the sign changes
-    assert not _is_weyl_invariant(d)
-    assert not _is_weyl_invariant(sum((MultiPoly.variable(n, i) for i in range(n)), one))
-    assert not _is_weyl_invariant(
-        MultiPoly.half_term(n, (2, 0, 0)) + MultiPoly.half_term(n, (-2, 0, 0))
-    )
+    assert _brauer_product(d, 0) is None
+    assert _brauer_product(sum((MultiPoly.variable(n, i) for i in range(n)), one), 0) is None
+    assert _brauer_product(
+        MultiPoly.half_term(n, (2, 0, 0)) + MultiPoly.half_term(n, (-2, 0, 0)), 0
+    ) is None
 
 
 # -- dimension formulas -------------------------------------------------------------------
