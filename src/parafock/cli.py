@@ -214,7 +214,7 @@ def _cmd_verify(args) -> int:
                 if identity == "parafermion":
                     reports.append(verify_parafermion_identity(n, p))
                 elif identity == "weyl-character":
-                    reports.append(verify_weyl_character(n, p, max_rank=n))
+                    reports.append(verify_weyl_character(n, p))
                 elif identity == "paraboson":
                     reports.append(verify_paraboson_identity(n, p, D, "printed"))
                     if args.alt_denominator:
@@ -352,7 +352,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run ``main``; an error it does not handle prints its traceback and exits 2,
+    so exit 1 always means a failing report under ``--strict``."""
+    try:
+        code = main()
+    except Exception:
+        import traceback  # here, not at start-up: only a crash needs it
+
+        traceback.print_exc()
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -73,12 +73,10 @@ from .polyring import (
 )
 from .schur import SchurContext, _schur_expansion, schur_sum
 from .weyl import (
-    ALTERNANT_RANK_LIMIT,
     Weight,
     alternant,
     RootSystemB,
     weight_monomial,
-    _check_alternant_rank,
     _inverted,
     _straighten,
     _straighten_type_a,
@@ -328,9 +326,7 @@ def _report(
     return VerificationReport(identity, n, m, p, degree, status, disc, millis, **extra)
 
 
-def verify_weyl_character(
-    n: int, p: int, max_rank: int = ALTERNANT_RANK_LIMIT
-) -> VerificationReport:
+def verify_weyl_character(n: int, p: int) -> VerificationReport:
     """Check D_{rho + p theta} = D_rho * chi, chi = exp(p theta) * branching
     character, by straightening onto strictly dominant weights.
 
@@ -344,11 +340,10 @@ def verify_weyl_character(
     alternant is built, and nothing is divided.
 
     Only on failure are both sides expanded as Laurent polynomials, to
-    locate the first offending monomial; ``max_rank`` guards that product
-    and is checked before any work.
+    locate the first offending monomial; ``alternant`` guards that product
+    by its own rank limit, before any of its terms is built.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
-    _check_alternant_rank(n, max_rank)
     t0 = time.perf_counter()
     rho = Weight.rho(n)
     theta_p = Weight.p_theta(n, p)
@@ -356,8 +351,8 @@ def verify_weyl_character(
     branching = branching_character(n, p)
     if _brauer_product(branching, p) == {top.coords: 1}:
         return _report("weyl-character", n, None, p, None, None, t0)
-    lhs = alternant(top, max_rank)
-    rhs = alternant(rho, max_rank) * weight_monomial(theta_p) * branching
+    lhs = alternant(top)
+    rhs = alternant(rho) * weight_monomial(theta_p) * branching
     return _report("weyl-character", n, None, p, None, _first_discrepancy(lhs, rhs), t0)
 
 

@@ -319,15 +319,35 @@ def _column_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _partitions_of(d: int, max_part: int, max_length: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of d, parts <= max_part, at most max_length rows, descending lex."""
-    if d == 0:
-        yield ()
+    """Partitions of d, parts <= max_part, at most max_length rows, descending lex.
+
+    One row list is walked in place: fill the boxes left greedily under the
+    last part, yield, then take one box from the last part x that can still
+    hold everything after it (rest + 1 <= (x - 1) * rows after x) and refill.
+    No recursion, so a diagram may have any number of rows.
+    """
+    if d > max_part * max_length:
         return
-    for first in range(min(d, max_part), 0, -1):
-        if d - first > first * (max_length - 1):
-            continue
-        for rest in _partitions_of(d - first, first, max_length - 1):
-            yield (first, *rest)
+    parts: list[int] = []
+    rest, cap = d, max_part
+    while True:
+        rows, tail = divmod(rest, cap) if rest else (0, 0)
+        parts += [cap] * rows
+        if tail:
+            parts.append(tail)
+        yield tuple(parts)
+        # a part of 1 can give no box, so the scan starts left of the ones
+        i = parts.index(1) - 1 if parts and parts[-1] == 1 else len(parts) - 1
+        rest = len(parts) - 1 - i
+        while i >= 0 and rest + 1 > (parts[i] - 1) * (max_length - 1 - i):
+            rest += parts[i]
+            i -= 1
+        if i < 0:
+            return
+        cap = parts[i] - 1
+        del parts[i:]
+        parts.append(cap)
+        rest += 1
 
 
 def enumerate_partitions(

@@ -324,8 +324,11 @@ def alternant(chi: Weight, max_rank: int = ALTERNANT_RANK_LIMIT) -> MultiPoly:
     signs factors row by row and D_chi = det(x_j^(-chi_i) - x_j^(chi_i)).
     Guarded by ``max_rank`` because the result has up to 2^n n! terms.
     """
-    n = chi.n
-    _check_alternant_rank(n, max_rank)
+    n, max_rank = chi.n, _integer(max_rank, "max_rank")
+    if n > max_rank:
+        raise ValueError(
+            f"rank {n} exceeds the alternant limit {max_rank}; raise max_rank to force"
+        )
 
     def entry(c: int, j: int) -> MultiPoly:
         # x_j^(-c) - x_j^(c) in half units; the two terms cancel when c = 0
@@ -333,14 +336,6 @@ def alternant(chi: Weight, max_rank: int = ALTERNANT_RANK_LIMIT) -> MultiPoly:
         return MultiPoly._of(n, {before + (-c,) + after: 1, before + (c,) + after: -1} if c else {})
 
     return _det([[entry(c, j) for j in range(n)] for c in chi.coords], n)
-
-
-def _check_alternant_rank(n: int, max_rank: int) -> None:
-    max_rank = _integer(max_rank, "max_rank")
-    if n > max_rank:
-        raise ValueError(
-            f"rank {n} exceeds the alternant limit {max_rank}; raise max_rank to force"
-        )
 
 
 def _straighten(coords) -> tuple[int, tuple[int, ...]] | None:

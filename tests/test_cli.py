@@ -491,6 +491,27 @@ def test_module_entry_point_runs_in_subprocess():
     assert json.loads(proc.stdout) == [{"exp": [2, 2], "coef": "1"}]
 
 
+def test_an_unhandled_error_exits_two_with_its_traceback():
+    # main handles ValueError and ArithmeticError itself; anything else that
+    # escapes it must not exit 1, which --strict reserves for a failing report
+    script = (
+        "import parafock.cli as cli\n"
+        "def crash(argv=None):\n"
+        "    raise MemoryError('simulated')\n"
+        "cli.main = crash\n"
+        "cli.entry()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("MemoryError: simulated\n")
+
+
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["parafock", "schur", "--lambda", "1,1", "--n", "2"])
     assert main() == 0

@@ -119,7 +119,6 @@ SITES = [
      lambda v: resolution_character(2, 1, 1, v)),
     ("weyl_character.n", "n", 1, False, lambda v: verify_weyl_character(v, 1)),
     ("weyl_character.p", "p", 0, False, lambda v: verify_weyl_character(2, v)),
-    ("weyl_character.max_rank", "max_rank", 0, False, lambda v: verify_weyl_character(1, 1, v)),
     ("alternant.max_rank", "max_rank", 0, False, lambda v: alternant(Weight.rho(1), v)),
     ("parafermion.n", "n", 1, False, lambda v: verify_parafermion_identity(v, 1)),
     ("parafermion.p", "p", 0, False, lambda v: verify_parafermion_identity(2, v)),
@@ -216,9 +215,6 @@ DEFECTS = {
     "alternant_nan_max_rank": lambda: alternant(Weight.rho(3), math.nan),
     "alternant_string_max_rank": lambda: alternant(Weight.rho(3), "7"),
     "alternant_fractional_max_rank": lambda: alternant(Weight.rho(3), 1.5),
-    "weyl_character_nan_max_rank": lambda: verify_weyl_character(2, 1, math.nan),
-    "weyl_character_string_max_rank": lambda: verify_weyl_character(2, 1, "7"),
-    "weyl_character_fractional_max_rank": lambda: verify_weyl_character(2, 1, 1.5),
 }
 
 

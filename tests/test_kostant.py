@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parafock import kostant, partitions, polyring
+from parafock import kostant, partitions, polyring, weyl
 from parafock.kostant import (
     CohomologyEntry,
     CohomologyTable,
@@ -425,20 +425,26 @@ def test_weyl_character_pass_builds_no_alternant(monkeypatch):
         return real(chi, max_rank)
 
     monkeypatch.setattr(kostant, "alternant", spy)
-    assert verify_weyl_character(4, 2).passed
+    # past the alternant's rank limit too: no guard stands before the pass
+    for n, p in [(4, 2), (7, 2), (7, 3), (8, 2)]:
+        assert verify_weyl_character(n, p).passed
     # straightening onto dominant weights never walks the 2^n n! group
     assert calls == []
 
 
-def test_weyl_character_rank_guard_precedes_any_work(monkeypatch):
-    def unreachable(n, p):
-        raise AssertionError("the rank guard must fire first")
+def test_weyl_character_failure_stops_at_the_alternant_guard(monkeypatch):
+    real = kostant.branching_character
 
-    monkeypatch.setattr(kostant, "branching_character", unreachable)
-    with pytest.raises(ValueError, match="exceeds the alternant limit 2"):
-        verify_weyl_character(3, 1, max_rank=2)
-    with pytest.raises(ValueError, match="alternant limit"):
-        verify_weyl_character(ALTERNANT_RANK_LIMIT + 1, 0)
+    def broken(n, p):
+        return real(n, p) + MultiPoly.variable(n, 0)
+
+    def unreachable(rows, n):
+        raise AssertionError("the rank guard must fire before any alternant term")
+
+    monkeypatch.setattr(kostant, "branching_character", broken)
+    monkeypatch.setattr(weyl, "_det", unreachable)
+    with pytest.raises(ValueError, match="exceeds the alternant limit 6"):
+        verify_weyl_character(7, 2)
 
 
 def test_parafermion_reports_pass():

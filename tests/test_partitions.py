@@ -90,6 +90,33 @@ def test_self_conjugate_square_frozen():
     ]
 
 
+def _partitions_by_recursion(d, max_part, max_length):
+    """The enumerator's former recursive form, one nested generator per row."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, max_part), 0, -1):
+        if d - first > first * (max_length - 1):
+            continue
+        for rest in _partitions_by_recursion(d - first, first, max_length - 1):
+            yield (first, *rest)
+
+
+def test_enumeration_matches_the_recursive_form_under_every_cap():
+    for d in range(19):
+        for max_part in range(d + 2):
+            for max_length in range(d + 2):
+                assert list(partitions._partitions_of(d, max_part, max_length)) == list(
+                    _partitions_by_recursion(d, max_part, max_length)
+                ), (d, max_part, max_length)
+
+
+def test_enumeration_reaches_diagrams_longer_than_the_recursion_limit():
+    # one nested generator per row overflowed the stack near 1,000 rows
+    *_, last = enumerate_partitions(max_part=1, max_size=2000)
+    assert last == Partition([1] * 2000)
+
+
 def test_enumerate_partitions_frozen():
     assert list(enumerate_partitions(max_part=2, max_length=2)) == [
         Partition(),
