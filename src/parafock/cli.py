@@ -21,6 +21,7 @@ import os
 import sys
 
 from .kostant import (
+    _w1_walk,
     branching_character,
     cohomology_via_partitions,
     cohomology_via_w1,
@@ -31,7 +32,7 @@ from .kostant import (
 )
 from .partitions import Partition, _integer, enumerate_partitions
 from .schur import SchurContext, hook_schur, schur
-from .weyl import ALTERNANT_RANK_LIMIT, Weight, _w1_word, dim_gl, dim_so
+from .weyl import ALTERNANT_RANK_LIMIT, Weight, dim_gl, dim_so
 
 DEGREE_ENV = "PARAFOCK_DEGREE"
 DEFAULT_DEGREES = {"paraboson": 10, "parastat": 8}
@@ -110,12 +111,11 @@ def _cmd_poly(args) -> int:
 
 def _cmd_w1(args) -> int:
     _check_rank_limit(args, args.n)
-    n = args.n
     columns = ("I", "word", "signs", "num_phi", "mu")
-    rows = []
-    for e in sorted(cohomology_via_w1(n, 0).entries, key=lambda e: (len(e.source), e.source)):
-        word, signs = _w1_word(e.source, n)
-        rows.append((list(e.source), list(word), list(signs), e.k, e.diagram.to_json()))
+    rows = [
+        (list(I), list(word), list(signs), e.k, e.diagram.to_json())
+        for I, word, signs, e in _w1_walk(_integer(args.n, "n", 1), 0)
+    ]
     if args.format == "json":
         print(_dump([dict(zip(columns, row)) for row in rows]))
     else:

@@ -8,9 +8,11 @@ the arm-augmented diagram mu^(p) = (alpha + p | alpha), where mu =
 routes produce the table, each building every entry once, off its own index:
 
 * ``cohomology_via_w1``: walk the 2^n minimal-length coset representatives
-  of the hyperoctahedral group as words and signs, count the positive roots
-  each one inverts (the index scan behind ``phi_sigma``), and read the
-  dominant diagram of sigma(rho + p theta) - rho off the word;
+  of the hyperoctahedral group as words and signs, and read each one's
+  image of h = (n, ..., 1): its order checks that sigma^{-1} keeps the Levi
+  simple roots positive, its negative entries count the nilradical roots
+  sigma^{-1} inverts, and with p it gives the dominant diagram of
+  sigma(rho + p theta) - rho;
 * ``cohomology_via_partitions``: enumerate self-conjugate diagrams in the
   square.  Arm i runs along row i, so mu^(p) is mu with each of its first
   r rows lengthened by p.  Since |mu| = sum(2 alpha_i + 1) = 2 sum(alpha_i)
@@ -77,7 +79,6 @@ from .weyl import (
     alternant,
     RootSystemB,
     weight_monomial,
-    _inverted,
     _straighten,
     _straighten_type_a,
     _w1_word,
@@ -151,29 +152,51 @@ def cohomology_via_w1(n: int, p: int) -> CohomologyTable:
 
     The entry of sigma has degree |Phi_sigma| and weight
     w = sigma(rho + p theta) - rho, which is reflected to a dominant diagram
-    and shifted by the p/2 vacuum offset.  Both are read off sigma's word and
-    signs: sigma moves coordinate j to place q = word[j], which is row n - q
-    (0-based) of the diagram, rho_q + p/2 - signs[j] (rho + p theta)_j.
+    and shifted by the p/2 vacuum offset; ``_w1_walk`` reads both off
+    sigma's word and signs.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
-    rs = RootSystemB(n)
-    top = range(2 * n - 1 + p, p, -2)  # rho + p theta
-    table = CohomologyTable(n, p)
+    table = CohomologyTable(n, p, [e for _, _, _, e in _w1_walk(n, p)])
+    table.sort()
+    return table
+
+
+def _w1_walk(n: int, p: int):
+    """Yield (I, word, signs, entry) for each coset representative sigma =
+    ``w1_element(I, n)``, I in ``combinations`` order, for checked n and p.
+
+    A root alpha is positive exactly when <alpha, h> > 0 for h = (n, ..., 1),
+    and <sigma^{-1} alpha, h> = <alpha, v> for v = sigma(h): sigma^{-1}
+    sends e_c to +-e_q (q from 0), and v_c = +-(n - q).  So sigma^{-1}
+    keeps the n - 1 Levi simple roots e_t - e_{t+1} positive when v is
+    strictly decreasing, and then keeps every Levi positive root positive,
+    each being a sum of simple ones: Phi_sigma lies in the nilradical.  Of
+    its roots, e_c is inverted when v_c < 0, and e_c + e_d when the entry
+    of larger size is negative, so a negative v_c inverts |v_c| roots and
+    k = |Phi_sigma| = (n(n + 1)/2 - sum(v)) / 2.
+
+    The loop keeps v reversed, u_i = v_{n-1-i}, which must increase: sigma
+    moves coordinate j to place q = word[j], so u_{n-q} = signs[j] (n - j).
+    Row i (from 0) of the dominant diagram is (2i + 1 + p - w_i) / 2, for w
+    the half units of sigma(rho + p theta) reversed.  rho + p theta is
+    2h - 1 + p there, so w_i = 2 u_i + (p - 1) sgn(u_i), and the row is
+    i + 1 - u_i for u_i > 0 and i + p - u_i for u_i < 0.
+    """
+    h, total = range(n, 0, -1), n * (n + 1) // 2
     for r in range(n + 1):
         for I in combinations(range(1, n + 1), r):
             word, signs = _w1_word(I, n)
-            inverted = _inverted(word, signs, rs)
-            if not rs._nil_indices.issuperset(inverted):
+            u, rows = [0] * n, [0] * n
+            for q, s, t in zip(word, signs, h):
+                i, x = n - q, s * t
+                u[i] = x
+                rows[i] = i + 1 - x if x > 0 else i + p - x
+            if u != sorted(u):
                 raise ArithmeticError(
                     f"representative for I={I} left the nilradical; convention bug"
                 )
-            rows = [0] * n
-            for q, s, t in zip(word, signs, top):
-                rows[n - q] = (2 * (n - q) + 1 + p - s * t) // 2
-            diagram = Partition._of(tuple(x for x in rows if x))
-            table.entries.append(CohomologyEntry(k=len(inverted), diagram=diagram, source=I))
-    table.sort()
-    return table
+            diagram = Partition._of(tuple(rows[: n - rows.count(0)]))  # zero rows trail
+            yield I, word, signs, CohomologyEntry((total - sum(u)) // 2, diagram, I)
 
 
 def cohomology_via_partitions(n: int, p: int, max_size: int | None = None) -> CohomologyTable:

@@ -28,6 +28,8 @@ the S_n sort sign.
 
 from __future__ import annotations
 
+from math import prod
+
 from .partitions import Partition, _integer, as_partition
 
 __all__ = [
@@ -228,9 +230,8 @@ class RootSystemB:
                 pos.append(ei - ej)
                 pos.append(ei + ej)
         self.positive_roots: tuple[Weight, ...] = tuple(pos)
-        # indices into positive_roots of the nilradical roots e_i and e_i + e_j
-        self._nil_indices = frozenset(x for x, w in enumerate(pos) if min(w.coords) >= 0)
-        self.nilradical_roots = tuple(pos[x] for x in sorted(self._nil_indices))
+        # the nilradical roots e_i and e_i + e_j
+        self.nilradical_roots = tuple(w for w in pos if min(w.coords) >= 0)
         self._nil_set = frozenset(w.coords for w in self.nilradical_roots)
         # Per positive root, its first and last nonzero coordinates with their
         # values, (i, c, j, d); e_i has just one, read twice.
@@ -258,20 +259,26 @@ def w1_element(I, n: int) -> SignedPermutation:
     I = frozenset(_integer(i, "element of I", float("-inf")) for i in I)
     if not I <= set(range(1, n + 1)):
         raise ValueError(f"I={sorted(I)} is not a subset of 1..{n}")
-    return SignedPermutation(*_w1_word(I, n))
+    return SignedPermutation(*_w1_word(sorted(I), n))
 
 
 def _w1_word(I, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Word and signs of ``w1_element(I, n)`` for I already inside 1..n.
+    """Word and signs of ``w1_element(I, n)`` for I ascending inside 1..n.
 
-    The word is omega_I, built by inverting its one-line inverse: the
-    complement of I ascending, then I descending.
+    The word is omega_I: the complement of I ascending goes to 1..n-r, and
+    I = {i_1 < ... < i_r} to n, n-1, ..., n-r+1.
     """
-    inverse = [j for j in range(1, n + 1) if j not in I] + sorted(I, reverse=True)
-    word = [0] * n
-    for pos, j in enumerate(inverse, start=1):
-        word[j - 1] = pos
-    return tuple(word), tuple(-1 if j in I else 1 for j in range(1, n + 1))
+    word, signs = [0] * n, [1] * n
+    place = n
+    for i in I:
+        word[i - 1], signs[i - 1] = place, -1
+        place -= 1
+    place = 0
+    for j, s in enumerate(signs):
+        if s > 0:
+            place += 1
+            word[j] = place
+    return tuple(word), tuple(signs)
 
 
 def phi_sigma(sigma: SignedPermutation, rs: RootSystemB) -> list[Weight]:
@@ -387,25 +394,29 @@ def _straighten_type_a(exponents) -> tuple[int, tuple[int, ...]] | None:
 def dim_so(highest: Weight, n: int) -> int:
     """Dimension of the so(2n+1) module with the given dominant highest weight.
 
-    Product over positive roots of <L + rho, a> / <rho, a>, evaluated as an
-    exact integer quotient.
+    Weyl's product over the positive roots a of <L + rho, a> / <rho, a>,
+    evaluated as an exact integer quotient and read off the coordinates in
+    O(n^2) products: <x, e_i> = x_i and <x, e_i - e_j> <x, e_i + e_j> =
+    x_i^2 - x_j^2.  Half units scale the numerator and the denominator by
+    the same power of 2.
     """
     n = _integer(n, "n", 1)
     if highest.n != n:
         raise ValueError(f"weight rank {highest.n} does not match n={n}")
     if not highest.is_dominant():
         raise ValueError(f"{highest!r} is not dominant")
-    rs = RootSystemB(n)
-    rho = Weight.rho(n)
-    shifted = highest + rho
-    num = den = 1
-    for alpha in rs.positive_roots:
-        num *= shifted.pairing(alpha)
-        den *= rho.pairing(alpha)
+    rho = range(2 * n - 1, 0, -2)
+    shifted = [c + r for c, r in zip(highest.coords, rho)]
+    num, den = _weyl_product(shifted), _weyl_product(rho)
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError("dimension product is not integral; convention bug")
     return q
+
+
+def _weyl_product(x) -> int:
+    """prod_i x_i * prod_{i<j} (x_i^2 - x_j^2)."""
+    return prod(x) * prod(a * a - b * b for i, a in enumerate(x) for b in x[i + 1:])
 
 
 def dim_gl(lam, n: int) -> int:

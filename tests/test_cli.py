@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -102,6 +103,42 @@ def test_w1_json_row_shape(capsys):
     by_subset = {tuple(r["I"]): r for r in rows}
     assert by_subset[(1, 3)]["word"] == [3, 1, 2]
     assert by_subset[(1, 3)]["num_phi"] == 4
+
+
+# sha256 and line count of the whole stdout of ``w1 --n k``, k = 1..8,
+# recorded when the route still counted Phi_sigma by a scan over every root
+W1_OUTPUT_PINS = {
+    "json": {
+        1: (1, "2114a80f5aaeed4c7d9b8898921b19b717715a8892473b268b1966e2293fc2a7"),
+        2: (1, "0a3f36020778db77e12981122172adceb5beff4f1757d9d0fc650ce1fcc5dad7"),
+        3: (1, "3d1f7006f14cde64b4515727467a6736fd100248164428b1877c29c482704f98"),
+        4: (1, "f48b347d0ca11b80b3bf30d5d40dcd5481b7e5bc7be170bfb2fe999768f2a87c"),
+        5: (1, "dbae2b7bf5076802045bbee61f4328664ce786ec2183be7305908897988b2782"),
+        6: (1, "8da204d7d6d5c129b269c58675bf0a427966259f066e3d0d3a43d58beae5da65"),
+        7: (1, "c0caf7216f341452fb1e59e5636449dce9cddbbe18d7ac69f057923c1c75b8a4"),
+        8: (1, "241f00f5d82590f31a4e2bc19a7925ea27f5b443a31ff2d74a8742b7d502d422"),
+    },
+    "tsv": {
+        1: (3, "9c365b93c34f8dd7e25972e97cb5b605d941ddd605098eb36e56e74d9a7557bd"),
+        2: (5, "adc974eac51ca98840545a7abd07f205768abd7ffb535ff5b200bac27198d191"),
+        3: (9, "a3eee373f3f95433f4597df753949946664dfffc0986a62b86cad15fae41571f"),
+        4: (17, "a9721d7200670d6a52235f17cdebbdb0312973067778935d2d8219eefa85ba2f"),
+        5: (33, "e1e3dd7912b77307a501c7a455b8f3d6f50491e28e500c86ffe092a2fc9a0a0c"),
+        6: (65, "56fefb024a64364266c59a20b5c68bc241929ffded04e58016ca9796565e2a4c"),
+        7: (129, "ee6190e89913794df5f25a23cc4d103f0220bd0ec209722f86b928988b7b0cb3"),
+        8: (257, "5b9b814bf44148099072ea7c944a9b21e2c634b66bb841ecff3edc181e23878e"),
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(W1_OUTPUT_PINS))
+def test_w1_output_is_pinned(capsys, fmt):
+    for k, (lines, digest) in W1_OUTPUT_PINS[fmt].items():
+        force = ("--force",) if k > 6 else ()
+        code, out, err = run(capsys, "w1", "--n", str(k), "--format", fmt, *force)
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == lines, (fmt, k)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, k)
 
 
 def test_cohomology_json_both_routes(capsys):

@@ -270,7 +270,7 @@ def _partition_table_by_frobenius(n, p):
 
 def test_both_routes_match_their_round_trip_constructions():
     cases = [(n, p) for n in range(1, 9) for p in range(4)]
-    for n, p in cases + [(n, p) for n in (9, 10) for p in (0, 2)]:
+    for n, p in cases + [(n, p) for n in (9, 10, 11) for p in (0, 2)]:
         for route, oracle in (
             (cohomology_via_w1, _w1_table_by_images),
             (cohomology_via_partitions, _partition_table_by_frobenius),
@@ -278,6 +278,51 @@ def test_both_routes_match_their_round_trip_constructions():
             got, want = route(n, p), oracle(n, p)
             assert (got.n, got.p) == (want.n, want.p)
             assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+
+
+def _w1_word_ascending(I, n):
+    """The representative's word with I = {i_1 < ... < i_r} sent to
+    n-r+1, ..., n, the wrong way round: for r >= 2 its inverse sends the
+    Levi simple root e_{n-r+1} - e_{n-r+2} to e_{i_2} - e_{i_1} < 0."""
+    inverse = [j for j in range(1, n + 1) if j not in I] + sorted(I)
+    word = [0] * n
+    for place, j in enumerate(inverse, start=1):
+        word[j - 1] = place
+    return tuple(word), tuple(-1 if j in I else 1 for j in range(1, n + 1))
+
+
+def test_w1_route_refuses_a_representative_outside_the_nilradical(monkeypatch, capsys):
+    from parafock import cli
+
+    monkeypatch.setattr(kostant, "_w1_word", _w1_word_ascending)
+    assert cohomology_via_w1(1, 2).degree_diagram_pairs() == [(0, ()), (1, (3,))]
+    for n in (2, 3, 4):
+        for p in (0, 2):
+            with pytest.raises(ArithmeticError, match="left the nilradical; convention bug"):
+                cohomology_via_w1(n, p)
+        assert cli.main(["w1", "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "left the nilradical; convention bug" in err
+
+
+def test_only_phi_sigma_scans_every_root(monkeypatch, capsys):
+    from parafock import cli
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = weyl._inverted
+    monkeypatch.setattr(weyl, "_inverted", spy)
+    assert not hasattr(kostant, "_inverted") and not hasattr(cli, "_inverted")
+    assert len(cohomology_via_w1(6, 2).entries) == 2 ** 6
+    assert cli.main(["w1", "--n", "5"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert len(weyl.phi_sigma(w1_element({1, 3}, 4), RootSystemB(4))) == 6
+    assert len(calls) == 1
 
 
 def test_bounded_partition_route_matches_the_filtered_oracle():

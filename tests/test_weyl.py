@@ -486,10 +486,39 @@ def test_dim_so_frozen_values():
     assert dim_so(Weight.p_theta(1, 2), 1) == 3
     assert dim_so(Weight.p_theta(1, 4), 1) == 5
     assert dim_so(Weight.zero(3), 3) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not dominant"):
         dim_so(Weight((2, 4)), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight rank 2 does not match n=3"):
         dim_so(Weight((2, 0)), 3)
+    # (3/2, 1) mixes half and whole coordinates: 486 / 24 is no dimension
+    with pytest.raises(ArithmeticError, match="not integral; convention bug"):
+        dim_so(Weight((3, 2)), 2)
+
+
+def _dim_so_by_roots(highest, n):
+    """Oracle: Weyl's product pairing L + rho and rho with every positive root."""
+    rs, rho = RootSystemB(n), Weight.rho(n)
+    shifted = highest + rho
+    num = den = 1
+    for alpha in rs.positive_roots:
+        num *= shifted.pairing(alpha)
+        den *= rho.pairing(alpha)
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
+
+
+def test_dim_so_matches_the_product_over_roots():
+    for n in range(1, 31):
+        for p in range(4):
+            assert dim_so(Weight.p_theta(n, p), n) == _dim_so_by_roots(Weight.p_theta(n, p), n)
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        half = rng.randint(0, 1)  # all coordinates whole, or all half
+        rows = sorted((rng.randint(0, 4) for _ in range(n)), reverse=True)
+        highest = Weight(tuple(2 * x + half for x in rows))
+        assert dim_so(highest, n) == _dim_so_by_roots(highest, n), highest
 
 
 def test_dim_gl_frozen_values():
