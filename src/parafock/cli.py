@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .kostant import (
@@ -34,7 +33,6 @@ from .partitions import Partition, _integer, enumerate_partitions
 from .schur import SchurContext, hook_schur, schur
 from .weyl import ALTERNANT_RANK_LIMIT, Weight, dim_gl, dim_so
 
-DEGREE_ENV = "PARAFOCK_DEGREE"
 DEFAULT_DEGREES = {"paraboson": 10, "parastat": 8}
 
 
@@ -172,19 +170,6 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _default_degree(identity: str, args) -> int:
-    if args.degree is not None:
-        return args.degree
-    env = os.environ.get(DEGREE_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{DEGREE_ENV} must be an integer, got {env!r}") from exc
-        return _integer(value, DEGREE_ENV)
-    return DEFAULT_DEGREES[identity]
-
-
 def _cmd_verify(args) -> int:
     identity = args.identity
     ns = _parse_range(args.n, "--n")
@@ -199,13 +184,13 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--degree applies only to paraboson and parastat, not {identity}")
     ms = _parse_range(args.m, "--m") if args.m is not None else [None]
     _check_rank_limit(args, max(ns), max(ms) if ms != [None] else None)
-    for v, name in ((min(ns), "--n"), (min(ms), "--m"), (min(ps), "--p")):
+    bounds = (min(ns), "--n"), (min(ms), "--m"), (min(ps), "--p"), (args.degree, "--degree")
+    for v, name in bounds:
         if v is not None:
             _integer(v, name)
     if identity != "parastat":
         _integer(min(ns), "--n", 1)
-    if identity in DEFAULT_DEGREES:
-        D = _default_degree(identity, args)
+    D = args.degree if args.degree is not None else DEFAULT_DEGREES.get(identity)
 
     reports = []
     for n in ns:
@@ -290,8 +275,8 @@ COMMANDS = {
         ("--m", {"help": "odd variables, int or range (parastat only)"}),
         ("--p", {"required": True, "help": "order, int or inclusive range"}),
         ("--degree", {"type": int, "help": (
-            f"truncation bound, paraboson and parastat only (default ${DEGREE_ENV}, "
-            f"else {DEFAULT_DEGREES['paraboson']} for paraboson, {DEFAULT_DEGREES['parastat']} "
+            "truncation bound, paraboson and parastat only (default "
+            f"{DEFAULT_DEGREES['paraboson']} for paraboson, {DEFAULT_DEGREES['parastat']} "
             "for parastat)")}),
         ("--strict", {"action": "store_true", "help": "exit 1 if any emitted report fails"}),
         ("--alt-denominator", {"action": "store_true", "help": (

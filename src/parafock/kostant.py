@@ -522,6 +522,19 @@ def verify_paraboson_identity(
     min(n, max(D, 1)) variables (never none) give the maps at n.
     The table, family and carry are built in N variables, and a failure is
     still located in n.
+
+    The printed identity is omega of the parafermion one: omega (s_lambda
+    to s_lambda', e_k to h_k) is a degree-preserving ring involution of
+    Lambda and its completion (Macdonald I.2), omega(prod(1-x_i)) =
+    prod(1+x_i)^{-1}, and by Littlewood's expansions (I.5 Ex. 9) it sends
+    prod_{i<j}(1-x_i x_j), the signed sum over kappa = (a-1|a), to the one
+    over (a|a-1), prod_{i<=j}(1-x_i x_j).  So omega(L) is the printed
+    denominator, the family lambda_1 <= p goes to l(lambda) <= p and
+    s_{mu^(p)} to s_{[mu^(p)]'}.  With N' = max(D, 1) in the restriction
+    above, the printed maps at (n, p, D) are the parafermion maps at N' cut
+    to |nu| <= D, conjugated and cut to at most n rows.  The symmetric
+    variant is that times prod(1-x_i^2), the omega image of no parafermion
+    map; its failure at degree 2 is the factor's -sum x_i^2.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
     if denominator not in ("printed", "symmetric"):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from parafock.cli import DEGREE_ENV, main
+from parafock.cli import main
 
 EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected"
 CALLS = [
@@ -31,8 +31,7 @@ def test_recorded_calls_are_found():
 @pytest.mark.parametrize(
     "call", [call for _, call in CALLS], ids=[f"{w}-{i}" for i, (w, _) in enumerate(CALLS)]
 )
-def test_recorded_call_replays_byte_for_byte(call, capsys, monkeypatch):
-    monkeypatch.delenv(DEGREE_ENV, raising=False)
+def test_recorded_call_replays_byte_for_byte(call, capsys):
     code = main(list(call["argv"]))
     out = capsys.readouterr().out
     assert code == call["exit"]

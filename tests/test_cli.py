@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from parafock.cli import COMMANDS, DEGREE_ENV, build_parser, main
+from parafock.cli import COMMANDS, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -372,35 +372,36 @@ def test_verify_tsv_layout(capsys):
     assert out.splitlines()[1:] == ["parastat\t1\t1\t2\t4\tpass\t\t\t0"]
 
 
-def test_verify_degree_resolution(capsys, monkeypatch):
-    monkeypatch.setenv(DEGREE_ENV, "4")
-    _, out, _ = run(capsys, "verify", "--identity", "paraboson", "--n", "1", "--p", "1")
-    assert json.loads(out)["degree"] == 4
-    # an explicit flag beats the environment
+def test_verify_degree_resolution(capsys):
+    # an explicit flag beats the default
     _, out, _ = run(
         capsys,
         "verify", "--identity", "paraboson",
         "--n", "1", "--p", "1", "--degree", "6",
     )
     assert json.loads(out)["degree"] == 6
-    monkeypatch.setenv(DEGREE_ENV, "junk")
-    code, _, err = run(capsys, "verify", "--identity", "paraboson", "--n", "1", "--p", "1")
-    assert code == 2 and "must be an integer" in err
-    monkeypatch.setenv(DEGREE_ENV, "-2")
-    code, out, err = run(
-        capsys, "verify", "--identity", "parastat", "--n", "1", "--m", "1", "--p", "1"
-    )
-    assert code == 2 and out == "" and f"{DEGREE_ENV} must be >= 0, got -2" in err
 
 
-def test_verify_default_degrees(capsys, monkeypatch):
-    monkeypatch.delenv(DEGREE_ENV, raising=False)
+def test_verify_default_degrees(capsys):
     _, out, _ = run(capsys, "verify", "--identity", "paraboson", "--n", "1", "--p", "1")
     assert json.loads(out)["degree"] == 10
     _, out, _ = run(
         capsys, "verify", "--identity", "parastat", "--n", "1", "--m", "1", "--p", "1"
     )
     assert json.loads(out)["degree"] == 8
+
+
+def test_verify_degree_reads_no_environment(capsys, monkeypatch):
+    # the report's degree comes from its argv alone: a variable the CLI once
+    # read as a default changes nothing, even when it is not a number
+    for value in ("4", "x"):
+        monkeypatch.setenv("PARAFOCK_DEGREE", value)
+        for argv, degree in (
+            (("--identity", "paraboson", "--n", "1", "--p", "1"), 10),
+            (("--identity", "parastat", "--n", "1", "--m", "1", "--p", "1"), 8),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert (code, err, json.loads(out)["degree"]) == (0, "", degree)
 
 
 def test_verify_parafermion_rank_six_runs_within_the_guard(capsys):
@@ -508,13 +509,6 @@ def test_computation_errors_exit_two(capsys):
             capsys, "verify", "--identity", identity, "--n", "2", "--p", "1", "--degree", "5"
         )
         assert code == 2 and out == "" and "--degree applies only to" in err
-
-
-def test_degree_environment_stays_a_default_for_exact_checks(capsys, monkeypatch):
-    monkeypatch.setenv(DEGREE_ENV, "4")
-    for identity in ("parafermion", "weyl-character"):
-        code, out, _ = run(capsys, "verify", "--identity", identity, "--n", "2", "--p", "1")
-        assert code == 0 and json.loads(out)["status"] == "pass"
 
 
 def test_module_entry_point_runs_in_subprocess():

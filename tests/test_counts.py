@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from parafock.cli import DEGREE_ENV, main
+from parafock.cli import main
 from parafock.kostant import (
     VerificationReport,
     branching_character,
@@ -304,7 +304,7 @@ def test_a_zero_bound_beside_an_infinite_one_leaves_the_empty_diagram():
         (("dims", "--n", "0", "--p", "1"), "n must be >= 1, got 0"),
         (("dims", "--n", "2", "--p", "-1"), "p must be >= 0, got -1"),
         (("verify", "--identity", "paraboson", "--n", "1", "--p", "1", "--degree", "-1"),
-         "degree bound must be >= 0, got -1"),
+         "--degree must be >= 0, got -1"),
         (("verify", "--identity", "parastat", "--n=-1", "--m", "1", "--p", "1"),
          "--n must be >= 0, got -1"),
         (("verify", "--identity", "parastat", "--n", "1", "--m=-1", "--p", "1"),
@@ -322,11 +322,3 @@ def test_cli_names_the_bad_count(capsys, argv, message):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
-
-
-def test_cli_degree_environment_must_be_whole(capsys, monkeypatch):
-    for value, message in (("2.5", "must be an integer, got '2.5'"), ("-2", "must be >= 0, got -2")):
-        monkeypatch.setenv(DEGREE_ENV, value)
-        assert main(["verify", "--identity", "paraboson", "--n", "1", "--p", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and f"{DEGREE_ENV} {message}" in captured.err

@@ -751,6 +751,32 @@ def test_brauer_map_matches_the_denominator_product():
             assert kostant._parafermion_times(n, p, family) == expected, (n, p)
 
 
+def test_paraboson_maps_are_the_conjugate_parafermion_maps():
+    # omega duality (verify_paraboson_identity's docstring): the printed
+    # paraboson maps at (n, p, D) are the parafermion maps at N' = max(D, 1)
+    # variables, cut to |nu| <= D, conjugated and cut to at most n rows.  The
+    # type-B Brauer pass and the type-A carry share no code.
+    cases = 0
+    for p in range(4):
+        for D in range(9):
+            wide = max(D, 1)
+            box = list(enumerate_partitions(max_part=p, max_length=wide))
+            fermion = kostant._parafermion_times(wide, p, box)
+            conjugate = {
+                partitions._column_lengths(nu): c for nu, c in fermion.items() if sum(nu) <= D
+            }
+            for n in range(1, D + 3):
+                N = min(n, wide)
+                family = list(enumerate_partitions(max_length=min(p, N), max_size=D))
+                expected = {nu: c for nu, c in conjugate.items() if len(nu) <= n}
+                assert kostant._denominator_times(N, False, family, D) == expected, (n, p, D)
+                # the symmetric variant is the omega image of no parafermion map
+                if D >= 2 and n > p:
+                    assert kostant._denominator_times(N, True, family, D) != expected, (n, p, D)
+                cases += 1
+    assert cases == 216
+
+
 def _brauer_product_by_shifted_copy(chi, p):
     """The Brauer product by its definition: shift chi by -p/2 into a copy,
     check the copy against the simple reflections (adjacent swaps and the
