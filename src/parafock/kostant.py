@@ -54,7 +54,6 @@ lowest differing degree).
 from __future__ import annotations
 
 import math
-import time
 from itertools import combinations, product
 
 from .partitions import (
@@ -265,13 +264,14 @@ class VerificationReport(_Record):
 
     ``degree`` is None for exact comparisons and the truncation bound
     otherwise.  ``first_discrepancy`` names the smallest offending monomial
-    when the check fails.  The optional trailing fields label the paraboson
-    denominator variant and the conjectural status of the parastatistics
-    identity.
+    when the check fails, and the status, passed and conjecture read-outs
+    follow from it and from ``identity``.  ``millis`` is a time its caller
+    recorded, 0 if none did: a check reads no clock.  ``denominator`` labels
+    the paraboson denominator variant.
     """
 
-    __slots__ = ("identity", "n", "m", "p", "degree", "status", "first_discrepancy",
-                 "millis", "denominator", "conjecture")
+    __slots__ = ("identity", "n", "m", "p", "degree", "first_discrepancy", "millis",
+                 "denominator")
 
     def __init__(
         self,
@@ -280,26 +280,31 @@ class VerificationReport(_Record):
         m: int | None,
         p: int,
         degree: int | None,
-        status: str,
         first_discrepancy: dict | None,
-        millis: int,
+        millis: int = 0,
         denominator: str | None = None,
-        conjecture: bool = False,
     ) -> None:
         self.identity = identity
         self.n = n
         self.m = m
         self.p = p
         self.degree = degree
-        self.status = status
         self.first_discrepancy = first_discrepancy
         self.millis = millis
         self.denominator = denominator
-        self.conjecture = conjecture
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.first_discrepancy is None else "fail"
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.first_discrepancy is None
+
+    @property
+    def conjecture(self) -> bool:
+        """The parastatistics identity is the paper's conjecture."""
+        return self.identity == "parastat"
 
     def to_json_obj(self) -> dict:
         """The report as a fresh dict that shares no mutable object with it."""
@@ -321,7 +326,7 @@ class VerificationReport(_Record):
         if self.denominator is not None:
             out["denominator"] = self.denominator
         if self.conjecture:
-            out["conjecture"] = self.conjecture
+            out["conjecture"] = True
         return out
 
 
@@ -338,15 +343,6 @@ def _first_discrepancy(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
         "lhs": str(lhs.terms.get(e, 0)),
         "rhs": str(rhs.terms.get(e, 0)),
     }
-
-
-def _report(
-    identity: str, n: int, m: int | None, p: int, degree: int | None, disc: dict | None,
-    t0: float, **extra,
-) -> VerificationReport:
-    status = "pass" if disc is None else "fail"
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(identity, n, m, p, degree, status, disc, millis, **extra)
 
 
 def verify_weyl_character(n: int, p: int) -> VerificationReport:
@@ -367,16 +363,15 @@ def verify_weyl_character(n: int, p: int) -> VerificationReport:
     by its own rank limit, before any of its terms is built.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
-    t0 = time.perf_counter()
     rho = Weight.rho(n)
     theta_p = Weight.p_theta(n, p)
     top = rho + theta_p
     branching = branching_character(n, p)
     if _brauer_product(branching, p) == {top.coords: 1}:
-        return _report("weyl-character", n, None, p, None, None, t0)
+        return VerificationReport("weyl-character", n, None, p, None, None)
     lhs = alternant(top)
     rhs = alternant(rho) * weight_monomial(theta_p) * branching
-    return _report("weyl-character", n, None, p, None, _first_discrepancy(lhs, rhs), t0)
+    return VerificationReport("weyl-character", n, None, p, None, _first_discrepancy(lhs, rhs))
 
 
 def _brauer_product(chi: MultiPoly, p: int) -> dict[tuple[int, ...], int] | None:
@@ -438,13 +433,12 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     expands only its lowest differing degree, to name the monomial.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
-    t0 = time.perf_counter()
     lhs = _euler_characteristic(cohomology_via_partitions(n, p).entries)
     family = list(enumerate_partitions(max_part=p, max_length=n))
     rhs = _parafermion_times(n, p, family)
     if rhs is None:
         rhs = _denominator_times(n, False, family)
-    return _report("parafermion", n, None, p, None, _schur_discrepancy(lhs, rhs, n), t0)
+    return VerificationReport("parafermion", n, None, p, None, _schur_discrepancy(lhs, rhs, n))
 
 
 def _parafermion_times(n: int, p: int, family) -> dict[tuple[int, ...], int] | None:
@@ -539,7 +533,6 @@ def verify_paraboson_identity(
     n, p = _integer(n, "n", 1), _integer(p, "p")
     if denominator not in ("printed", "symmetric"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
-    t0 = time.perf_counter()
     D = _integer(valid_degree, "degree bound")
     N = min(n, max(D, 1))
     # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < N - p give a
@@ -554,7 +547,7 @@ def verify_paraboson_identity(
     family = enumerate_partitions(max_length=min(p, N), max_size=D)
     rhs = _denominator_times(N, denominator == "symmetric", family, D)
     disc = _schur_discrepancy(lhs, rhs, n)
-    return _report("paraboson", n, None, p, D, disc, t0, denominator=denominator)
+    return VerificationReport("paraboson", n, None, p, D, disc, denominator=denominator)
 
 
 def _denominator_times(
@@ -655,7 +648,6 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     n, m, p = _integer(n, "n"), _integer(m, "m"), _integer(p, "p")
     if n + m < 1:
         raise ValueError(f"need n + m >= 1, got n={n}, m={m}")
-    t0 = time.perf_counter()
     D = _integer(valid_degree, "degree bound")
     ctx = SchurContext(n, m)
     nv = n + m
@@ -681,4 +673,4 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
         schur_sum(("hook", p), ctx, D).poly.terms, -1, [*((i,) for i in range(nv)), *same]
     )
     disc = _first_discrepancy(MultiPoly._of(nv, lhs), MultiPoly._of(nv, rhs))
-    return _report("parastat", n, m, p, D, disc, t0, conjecture=True)
+    return VerificationReport("parastat", n, m, p, D, disc)

@@ -234,13 +234,12 @@ def frobenius_decompose(lam: Partition) -> FrobeniusForm:
 def frobenius_compose(form: FrobeniusForm) -> Partition:
     """Rebuild the diagram from diagonal-hook coordinates."""
     r = form.rank
-    rows = [form.arms[i] + i + 1 for i in range(r)]
-    # Rows below the diagonal block are cut out by the legs: row i (1-based)
-    # meets leg j exactly when legs[j] + j + 1 >= i.
-    depth = form.legs[0] + 1 if r else 0
-    for i in range(r + 1, depth + 1):
-        rows.append(sum(1 for j in range(r) if form.legs[j] + j + 1 >= i))
-    return Partition(rows)
+    rows = tuple(a + i + 1 for i, a in enumerate(form.arms))
+    # Column j is legs[j] + j + 1 long, and a row below the diagonal block
+    # meets only those first r columns, so below row r the rows are the
+    # conjugate of those column lengths, as in the square walk.
+    cols = tuple(b + j + 1 for j, b in enumerate(form.legs))
+    return Partition(rows + _column_lengths(cols)[r:])
 
 
 def augment_arms(mu: Partition, p: int) -> Partition:

@@ -2,10 +2,12 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -245,11 +247,32 @@ def test_verify_rejects_the_removed_sweep_flag(capsys):
     assert "error: unrecognized arguments: --sweep" in err
 
 
+def test_schur_rejects_the_removed_odd_variable_flag(capsys):
+    # schur runs in even variables only; hook-schur takes --m
+    code, out, err = run(capsys, "schur", "--lambda", "2,1", "--n", "2", "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: unrecognized arguments: --m 1" in err
+
+
 def test_verify_timings_flag_unzeroes_millis(capsys):
     base = ("verify", "--identity", "parafermion", "--n", "1", "--p", "1")
     _, out, _ = run(capsys, *base, "--timings")
     obj = json.loads(out)
     assert isinstance(obj["millis"], int) and obj["millis"] >= 0
+
+
+def test_only_verify_timings_reads_a_clock(capsys, monkeypatch):
+    reads = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(reads)))
+    base = ("verify", "--identity", "paraboson", "--n", "1..2", "--p", "1", "--alt-denominator")
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and [json.loads(line)["millis"] for line in out.splitlines()] == [0] * 4
+    assert next(reads) == 0
+    # the clock advances a second per read, and the CLI reads it around each check
+    code, out, _ = run(capsys, *base, "--timings")
+    assert code == 0
+    assert all(json.loads(line)["millis"] >= 1000 for line in out.splitlines())
 
 
 def test_verify_weyl_character(capsys):

@@ -7,7 +7,6 @@ infinity with a ValueError naming the argument, and must treat an integral
 number (3.0, True) exactly as the int it equals.
 """
 
-import json
 import math
 import re
 
@@ -15,7 +14,6 @@ import pytest
 
 from parafock.cli import main
 from parafock.kostant import (
-    VerificationReport,
     branching_character,
     cohomology_via_partitions,
     cohomology_via_w1,
@@ -157,19 +155,12 @@ def test_a_bad_count_raises_naming_the_argument(call, value, message):
         call(value)
 
 
-def normal(result) -> str:
-    """A result as text that tells an int from an equal float."""
-    if isinstance(result, VerificationReport):
-        obj = result.to_json_obj()
-        obj["millis"] = 0
-        return json.dumps(obj)
-    return repr(result)
-
-
 @pytest.mark.parametrize("call", [s[4] for s in SITES], ids=[s[0] for s in SITES])
 def test_an_integral_number_counts_as_its_int(call):
-    assert normal(call(3.0)) == normal(call(3))
-    assert normal(call(True)) == normal(call(1))
+    # a repr tells an int from an equal float, and a report's depends only
+    # on its check's arguments
+    assert repr(call(3.0)) == repr(call(3))
+    assert repr(call(True)) == repr(call(1))
 
 
 def test_the_helper():

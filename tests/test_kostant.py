@@ -6,7 +6,8 @@ import importlib
 import json
 import math
 import pickle
-from itertools import combinations
+import time
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
@@ -201,21 +202,52 @@ def test_cohomology_records_are_values():
 
 
 def test_verification_report_is_a_mutable_value():
-    fields = ("parastat", 1, 1, 1, 4, "pass", None, 0)
-    report = VerificationReport(*fields, conjecture=True)
+    fields = ("parastat", 1, 1, 1, 4, None)
+    report = VerificationReport(*fields)
     assert report == VerificationReport(
-        identity="parastat", n=1, m=1, p=1, degree=4, status="pass",
-        first_discrepancy=None, millis=0, denominator=None, conjecture=True,
+        identity="parastat", n=1, m=1, p=1, degree=4, first_discrepancy=None, millis=0,
+        denominator=None,
     )
-    assert report != VerificationReport(*fields)
+    assert report != VerificationReport(*fields, millis=7)
     assert repr(report) == (
-        "VerificationReport(identity='parastat', n=1, m=1, p=1, degree=4, status='pass', "
-        "first_discrepancy=None, millis=0, denominator=None, conjecture=True)"
+        "VerificationReport(identity='parastat', n=1, m=1, p=1, degree=4, "
+        "first_discrepancy=None, millis=0, denominator=None)"
     )
     with pytest.raises(TypeError, match="unhashable"):
         hash(report)
     report.millis = 7
     assert report.to_json_obj()["millis"] == 7
+
+
+def test_status_passed_and_conjecture_are_read_off_the_fields():
+    disc = {"degree": 1, "monomial": [2], "lhs": "1", "rhs": "0"}
+    for identity, first_discrepancy, status in (
+        ("parastat", None, "pass"), ("parastat", disc, "fail"), ("paraboson", disc, "fail"),
+    ):
+        report = VerificationReport(identity, 1, None, 1, 4, first_discrepancy)
+        assert (report.status, report.passed) == (status, status == "pass")
+        assert report.conjecture == (identity == "parastat")
+        assert report.to_json_obj().get("conjecture", False) == report.conjecture
+        for name in ("status", "passed", "conjecture"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+
+
+def test_a_check_reads_no_clock(monkeypatch):
+    # a clock that advances a second per read would show in any report
+    reads = count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(reads)))
+    calls = [
+        (verify_weyl_character, (2, 1)),
+        (verify_parafermion_identity, (2, 1)),
+        (verify_paraboson_identity, (2, 1, 6)),
+        (verify_paraboson_identity, (2, 1, 6, "symmetric")),
+        (verify_parastat_identity, (1, 1, 1, 4)),
+    ]
+    for check, args in calls:
+        report = check(*args)
+        assert report.millis == 0 and report == check(*args), check
+    assert next(reads) == 0
 
 
 def test_report_json_shares_nothing_mutable_with_the_report():
@@ -1342,7 +1374,7 @@ def test_report_json_schema():
         "identity", "n", "m", "p", "degree", "status", "first_discrepancy", "millis",
     ]
     assert obj["status"] == "pass" and obj["first_discrepancy"] is None
-    assert isinstance(obj["millis"], int) and obj["millis"] >= 0
+    assert obj["millis"] == 0
 
     rep = verify_paraboson_identity(1, 0, 4)
     assert list(rep.to_json_obj())[-1] == "denominator"
