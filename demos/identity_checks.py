@@ -2,12 +2,14 @@
 """Run the character-identity verifiers and read their reports.
 
 Three identities (parafermionic, parabosonic, parastatistics) plus the
-Weyl-character check, which straightens D_rho times the character onto
-strictly dominant weights (Brauer's formula) and expands the alternants
-only to locate a failure.  The parafermionic check runs the same
-straightening, since its denominator is a shifted D_rho.  Everything is
-exact integer arithmetic; a failing check names the first offending
-monomial instead of a distance.
+Weyl-character check, which asks whether the shifted branching character
+is the character of L(p theta) on dominant weights alone (Kostka sums
+invariant under the sign changes, and Freudenthal's multiplicities) and
+expands the alternants only to locate a failure.  The parafermionic check
+asks the same question, since its denominator is a shifted D_rho, and
+then expands the single term D_{rho + p theta}.  Everything is exact
+integer arithmetic; a failing check names the first offending monomial
+instead of a distance.
 """
 
 import json
@@ -25,11 +27,11 @@ def show(report):
 
 
 def main():
-    print("Weyl-character check (exact, by Brauer straightening):")
+    print("Weyl-character check (exact, on dominant weights):")
     for n in (1, 2, 3):
         show(verify_weyl_character(n, p=2))
 
-    print("\nparafermionic identity (exact, by Brauer straightening in the Schur basis):")
+    print("\nparafermionic identity (exact, on dominant weights, in the Schur basis):")
     for p in (0, 1, 2):
         show(verify_parafermion_identity(n=2, p=p))
 

@@ -30,8 +30,13 @@ each entry signed by its degree k.  The parafermionic and parabosonic
 identities are compared in the Schur basis.  The parafermionic denominator
 times a_delta is, up to a sign and a uniform shift, the B_n Weyl
 denominator D_rho, so its right side is D_rho times the shifted branching
-character, read off by Brauer's formula (type B) and each D_nu expanded
-into 2^n type-A alternants; no denominator is expanded.  The paraboson
+character chi'.  That is D_{rho + p theta}, expanded into 2^n type-A
+alternants, exactly when chi' is the character of L(p theta), which is
+decided on the C(n + p, n) weakly decreasing exponent vectors of the
+branching character: its Kostka sums must be invariant under the sign
+changes of W(B_n), and its dominant multiplicities must be Freudenthal's.
+Any other family takes the paraboson carry below with the printed
+denominator; no denominator is expanded.  The paraboson
 denominator is a product of S_n orbits of factors, prod(1-x_i),
 prod_{i<j}(1-x_i x_j) and optionally prod(1-x_i^2); each orbit is
 symmetric, so its product with s_lambda = a_{lambda+delta} / a_delta is
@@ -42,9 +47,9 @@ at a time under the degree bound, and is straightened back onto +-s_nu
 ever expanded, and neither side's Schur polynomials are.  The
 parastatistics identity is compared by truncated integer polynomial
 arithmetic, each side taking its factors one at a time under the degree
-cap.  The Weyl-character check straightens D_rho times
-the character onto strictly dominant weights (Brauer's formula, type B),
-and expands the 2^n n!-term alternants only to locate a failure.  Nothing
+cap.  The Weyl-character check asks the same question of the
+branching character's own terms, once they are S_n-invariant, and expands
+the 2^n n!-term alternants only to locate a failure.  Nothing
 is ever divided or rounded.  Every failure is named by ``_first_discrepancy``:
 the first offending monomial, in graded-lexicographic order, of the two
 sides expanded as polynomials (the Schur-basis checks expand only their
@@ -54,7 +59,7 @@ lowest differing degree).
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .partitions import (
     Partition,
@@ -78,7 +83,6 @@ from .weyl import (
     alternant,
     RootSystemB,
     weight_monomial,
-    _straighten,
     _straighten_type_a,
     _w1_word,
 )
@@ -346,17 +350,16 @@ def _first_discrepancy(lhs: MultiPoly, rhs: MultiPoly) -> dict | None:
 
 
 def verify_weyl_character(n: int, p: int) -> VerificationReport:
-    """Check D_{rho + p theta} = D_rho * chi, chi = exp(p theta) * branching
-    character, by straightening onto strictly dominant weights.
+    """Check D_{rho + p theta} = D_rho * chi', chi' = exp(p theta) * branching
+    character, on dominant weights.
 
-    If chi is not Weyl-invariant, D_rho * chi is not antisymmetric, so it
-    cannot equal the antisymmetric D_{rho + p theta}.  If chi = sum m_mu
-    exp(mu) is invariant, Brauer's formula gives D_rho * chi = sum m_mu
-    D_{rho + mu}.  Each D_{rho + mu} is +-D_nu for one strictly dominant nu,
-    or 0; the D_nu of distinct strictly dominant nu have disjoint supports,
-    so they are independent and the identity holds exactly when the
-    straightened sum is D_{rho + p theta} alone.  Neither side's 2^n n!-term
-    alternant is built, and nothing is divided.
+    D_rho is no zero divisor, so the identity holds exactly when chi' =
+    D_{rho + p theta} / D_rho, the character of L(p theta) by Weyl's
+    formula.  chi' is read off the branching character's terms: once each
+    term's coefficient equals its sorted vector's and the terms fill those
+    vectors' S_n orbits, chi is symmetric and its Kostka map, the terms on
+    weakly decreasing vectors, decides it (``_is_level_p_character``).
+    Neither side's 2^n n!-term alternant is built, and nothing is divided.
 
     Only on failure are both sides expanded as Laurent polynomials, to
     locate the first offending monomial; ``alternant`` guards that product
@@ -365,48 +368,122 @@ def verify_weyl_character(n: int, p: int) -> VerificationReport:
     n, p = _integer(n, "n", 1), _integer(p, "p")
     rho = Weight.rho(n)
     theta_p = Weight.p_theta(n, p)
-    top = rho + theta_p
     branching = branching_character(n, p)
-    if _brauer_product(branching, p) == {top.coords: 1}:
+    kostka = _sorted_terms(branching.terms)
+    if kostka is not None and _is_level_p_character(kostka, n, p):
         return VerificationReport("weyl-character", n, None, p, None, None)
-    lhs = alternant(top)
+    lhs = alternant(rho + theta_p)
     rhs = alternant(rho) * weight_monomial(theta_p) * branching
     return VerificationReport("weyl-character", n, None, p, None, _first_discrepancy(lhs, rhs))
 
 
-def _brauer_product(chi: MultiPoly, p: int) -> dict[tuple[int, ...], int] | None:
-    """D_rho * chi' for the shifted character chi' = exp(p theta) * chi =
-    x^{-(p/2)1} chi, as {strictly dominant nu: coefficient of D_nu}; None
-    when chi' is not Weyl-invariant.
-
-    Invariance is read on chi's own terms under the simple reflections,
-    which generate the group: the adjacent swaps, which commute with the
-    shift, and the last sign change, on chi the reflection about p/2 (x_n^e
-    to x_n^{2p - e} in half units).  For invariant chi' = sum m_mu exp(mu),
-    Brauer's formula gives sum m_mu D_{rho + mu}, each term straightened;
-    x^e in chi is exp(p theta - e), so it contributes D_{rho + p theta - e}.
-    """
-    terms, n = chi.terms, chi.nvars
+def _sorted_terms(terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int] | None:
+    """The terms on weakly decreasing exponent vectors, or None unless the
+    terms are S_n-invariant: each term's coefficient equals its sorted
+    vector's, so each term lies in the orbit of a kept one, and the terms
+    fill those orbits, n! / prod(multiplicity!) vectors each."""
+    kept = {}
     for e, c in terms.items():
-        for i in range(n - 1):
-            if terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]) != c:
-                return None
-        if terms.get(e[:-1] + (2 * p - e[-1],)) != c:
+        s = tuple(sorted(e, reverse=True))
+        if terms.get(s) != c:
             return None
-    top = range(2 * n - 1 + p, p, -2)  # rho + p theta
-    pairs = (([t - x for t, x in zip(top, e)], c) for e, c in terms.items())
-    return _straightened(pairs, _straighten)
+        if s == e:
+            kept[e] = c
+    orbits = sum(
+        math.factorial(len(e)) // math.prod(math.factorial(e.count(v)) for v in set(e))
+        for e in kept
+    )
+    return kept if orbits == len(terms) else None
 
 
-def _straightened(pairs, straighten) -> dict[tuple[int, ...], int]:
-    """sum c sign [nu] over the pairs (v, c), as {nu: coefficient} without
-    zeros, where ``straighten(v)`` is (sign, nu), or None when v's alternant
-    vanishes: ``_straighten`` for D_v (type B), ``_straighten_type_a`` for
-    a_v / a_delta = sign s_nu (type A).  Cancelled coefficients are
-    dropped where they meet, so no other dict is built."""
+def _is_level_p_character(kostka: dict[tuple[int, ...], int], n: int, p: int) -> bool:
+    """Whether chi' = x^{-(p/2)1} chi is the character of L(p theta), for a
+    symmetric chi in n variables given by its Kostka map {weakly decreasing
+    e: coefficient m(e) of x^e} (half units).
+
+    x^e in chi is exp(p theta - e) in chi', so chi' is W(B_n)-invariant
+    exactly when ``_reflection_invariant`` holds.  An invariant chi' is
+    determined by its dominant multiplicities, at the e with every entry
+    at least p/2, where exp(p theta - e) is conjugate to exp(e - p theta)
+    with e - p theta dominant; it is the character of L(p theta) exactly
+    when these equal ``_freudenthal``'s.
+    """
+    if not _reflection_invariant(kostka, p):
+        return False
+    dominant = {tuple(x - p for x in e): c for e, c in kostka.items() if e[-1] >= p}
+    return dominant == _freudenthal(n, p)
+
+
+def _reflection_invariant(kostka: dict[tuple[int, ...], int], p: int) -> bool:
+    """Whether x^{-(p/2)1} chi is W(B_n)-invariant, for a symmetric Laurent
+    polynomial chi given by its Kostka map (half units).  W(B_n) is
+    generated by S_n, under which chi is invariant, and the last sign
+    change, which on chi sends one entry v of e to p - v (2p - v in half
+    units); so every m(e) must equal m of each such reflection of e, sorted.
+    """
+    for e, c in kostka.items():
+        for v in set(e):
+            i = e.index(v)
+            if kostka.get(tuple(sorted((*e[:i], *e[i + 1 :], 2 * p - v), reverse=True))) != c:
+                return False
+    return True
+
+
+def _freudenthal(n: int, p: int) -> dict[tuple[int, ...], int]:
+    """The dominant weight multiplicities of L(p theta) in so(2n+1), as {mu:
+    m(mu)} in half units, by Freudenthal's formula (Humphreys §22.3):
+
+        (|p theta + rho|^2 - |mu + rho|^2) m(mu)
+            = 2 sum over positive roots a, k >= 1 of m(mu + k a) <mu + k a, a>.
+
+    The dominant mu <= p theta have every coordinate in p/2, p/2 - 1, ...,
+    down to 0 or 1/2, weakly decreasing.  They are taken in decreasing
+    lexicographic order, which extends the dominance order: nu - mu a sum
+    of simple roots e_i - e_{i+1} and e_n makes every partial sum of
+    nu - mu non-negative, so a weight above mu is done before it.  m is
+    W-invariant, so m(mu + k a) is m of the sorted absolute values; an
+    a-string of weights is unbroken, so each sum over k stops at the first
+    weight outside.  Half units scale both sides by 4, and every quotient
+    is exact: a remainder raises ``ArithmeticError``.
+    """
+    rho = Weight.rho(n).coords
+    # the positive roots e_i + s e_j in half units: (i, i, 0) is e_i alone
+    roots = [(i, i, 0) for i in range(n)]
+    roots += [(i, j, s) for i, j in combinations(range(n), 2) for s in (1, -1)]
+
+    def norm(mu):
+        # |mu + rho|^2
+        return sum((x + r) ** 2 for x, r in zip(mu, rho))
+
+    weights = combinations_with_replacement(range(p, -1, -2), n)
+    top = next(weights)  # p theta
+    mult = {top: 1}
+    for mu in weights:
+        total = 0
+        for i, j, s in roots:
+            nu = list(mu)
+            while True:
+                nu[i] += 2
+                nu[j] += 2 * s
+                m = mult.get(tuple(sorted(map(abs, nu), reverse=True)), 0)
+                if not m:
+                    break
+                total += m * 2 * (nu[i] + s * nu[j])  # <nu, a>, in half units
+        q, r = divmod(2 * total, norm(top) - norm(mu))
+        if r:
+            raise ArithmeticError(f"Freudenthal quotient at {mu} is not integral; convention bug")
+        mult[mu] = q
+    return mult
+
+
+def _straightened(pairs) -> dict[tuple[int, ...], int]:
+    """sum c sign s_nu over the pairs (v, c), as {nu: coefficient} without
+    zeros, where ``_straighten_type_a(v)`` writes a_v / a_delta as sign s_nu,
+    or as 0.  Cancelled coefficients are dropped where they meet, so no
+    other dict is built."""
     out: dict[tuple[int, ...], int] = {}
     for v, c in pairs:
-        hit = straighten(v)
+        hit = _straighten_type_a(v)
         if hit is not None:
             sign, nu = hit
             total = out.get(nu, 0) + sign * c
@@ -426,10 +503,11 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
 
     Both sides are compared as {nu: coefficient of s_nu}, which decides the
     identity because the s_nu with at most n rows are linearly independent.
-    The left side is read off the cohomology table, the right side by
-    Brauer's formula (``_parafermion_times``), so neither L nor either side
-    is expanded into monomials.  A branching family whose shifted character
-    is not Weyl-invariant takes ``_denominator_times`` instead; a failure
+    The left side is read off the cohomology table.  When the family's
+    shifted character is the character of L(p theta), decided on its
+    C(n + p, n) Kostka sums, the right side is the one term D_{rho + p theta}
+    (``_parafermion_times``), so neither L nor either side is expanded into
+    monomials.  Any other family takes ``_denominator_times``; a failure
     expands only its lowest differing degree, to name the monomial.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
@@ -443,8 +521,8 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
 
 def _parafermion_times(n: int, p: int, family) -> dict[tuple[int, ...], int] | None:
     """L times chi = sum_{lambda in family} s_lambda in n variables, as {nu:
-    coefficient of s_nu}, by Brauer's formula; None when the shifted
-    character chi' = x^{-(p/2)1} chi is not Weyl-invariant.
+    coefficient of s_nu}, when the shifted character chi' = x^{-(p/2)1} chi
+    is the character of L(p theta); None otherwise.
 
     By the Weyl denominator formula, each positive root a of B_n gives D_rho
     a factor e^{a/2} - e^{-a/2} = e^{a/2}(1 - e^{-a}), and under
@@ -457,38 +535,39 @@ def _parafermion_times(n: int, p: int, family) -> dict[tuple[int, ...], int] | N
         L a_delta = (-1)^{n(n-1)/2} x^{(n-1/2)1} D_rho,
 
     and L chi a_delta = (-1)^{n(n-1)/2} x^{c1} D_rho chi' with
-    c = n - 1/2 + p/2.  For invariant chi', Brauer's formula gives
-    D_rho chi' = sum m_nu D_nu (``_brauer_product``), which
-    ``_shifted_alternants`` writes in the Schur basis.  chi has no negative
-    exponent, so an invariant chi' has every exponent within p/2 of 0, and
-    every nu_i <= rho_1 + p/2 = c.
+    c = n - 1/2 + p/2.  When chi' is the character of L(p theta), Weyl's
+    formula gives D_rho chi' = D_{rho + p theta}, which
+    ``_shifted_alternants`` writes in the Schur basis, since its top
+    coordinate is rho_1 + p/2 = c.  chi is symmetric, so
+    ``_is_level_p_character`` decides it on its Kostka map, which the
+    branching pass builds on the weakly decreasing exponent vectors alone:
+    at most C(n + p, n) of them for a family in the p^n box.
     """
-    chi = _schur_expansion(((lam.parts, 1) for lam in family), SchurContext(n))
-    coeffs = _brauer_product(chi, p)
-    return None if coeffs is None else _shifted_alternants(coeffs, n, 2 * n - 1 + p)
+    chi = _schur_expansion(((lam.parts, 1) for lam in family), SchurContext(n), dominant=True)
+    if not _is_level_p_character(chi.terms, n, p):
+        return None
+    return _shifted_alternants(tuple(range(2 * n - 1 + p, p, -2)))
 
 
-def _shifted_alternants(
-    coeffs: dict[tuple[int, ...], int], n: int, c: int
-) -> dict[tuple[int, ...], int]:
-    """(-1)^{n(n-1)/2} x^{(c/2)1} sum coeffs[nu] D_nu / a_delta, as {lambda:
-    coefficient of s_lambda}, for strictly dominant nu with every nu_i <= c
-    (both in half units).
+def _shifted_alternants(nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """(-1)^{n(n-1)/2} x^{(c/2)1} D_nu / a_delta, as {lambda: coefficient of
+    s_lambda}, for a strictly dominant nu in n coordinates with top
+    coordinate c = nu_1 (both in half units).
 
     Row i of D_nu = det(x_j^{-nu_i} - x_j^{nu_i}) splits over s_i = +-1 into
     s_i x_j^{-s_i nu_i}, so D_nu = sum_s prod(s) a_{-s nu} over the 2^n sign
     vectors s, and the shift makes each term prod(s) a_v with v = (c1 - s nu)
     / 2.  Every c - s_i nu_i is even and non-negative, so v is in whole
     units, and ``_straightened`` writes each a_v / a_delta as +-s_lambda or
-    0 (``_straighten_type_a``).
+    0.
     """
+    n, c = len(nu), nu[0]
     sign = (-1) ** (n * (n - 1) // 2)
     pairs = (
-        ([(c - si * x) // 2 for si, x in zip(s, nu)], sign * math.prod(s) * m)
-        for nu, m in coeffs.items()
+        ([(c - si * x) // 2 for si, x in zip(s, nu)], sign * math.prod(s))
         for s in product((1, -1), repeat=n)
     )
-    return _straightened(pairs, _straighten_type_a)
+    return _straightened(pairs)
 
 
 def verify_paraboson_identity(
@@ -558,11 +637,11 @@ def _denominator_times(
 
     It serves the paraboson check, and the parafermion check when
     ``_parafermion_times`` cannot (a family whose shifted character is not
-    Weyl-invariant).  s_nu = a_{nu+delta} / a_delta with a_v the S_n
-    alternant and delta = (n-1, ..., 0), so the Schur sum, sum c_nu s_nu, is
-    carried in whole units as the monomials sum c_nu x^{nu+delta}, whose
-    antisymmetrization A(x^v) = sum_w sign(w) w(x^v) = a_v gives back
-    sum c_nu a_{nu+delta}.  A symmetric G commutes with every w, so
+    the character of L(p theta)).  s_nu = a_{nu+delta} / a_delta with a_v
+    the S_n alternant and delta = (n-1, ..., 0), so the Schur sum,
+    sum c_nu s_nu, is carried in whole units as the monomials
+    sum c_nu x^{nu+delta}, whose antisymmetrization A(x^v) =
+    sum_w sign(w) w(x^v) = a_v gives back sum c_nu a_{nu+delta}.  A symmetric G commutes with every w, so
     G a_v = A(G x^v), and G times the sum is A(G sum c_nu x^{nu+delta}) /
     a_delta.  The denominator's S_n orbits of factors are such G: the 1-x_i,
     the 1-x_i x_j (i < j) and, for the symmetric variant, the 1-x_i^2.  Each
@@ -598,7 +677,7 @@ def _denominator_times(
         for variables in orbit:
             e = tuple(variables.count(i) for i in range(n))
             terms = _times_binomial(terms, e, -1, cut)
-        coeffs = _straightened(terms.items(), _straighten_type_a)
+        coeffs = _straightened(terms.items())
     return coeffs
 
 

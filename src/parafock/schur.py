@@ -215,10 +215,14 @@ def hook_schur(lam, ctx: SchurContext, algorithm: str = "br") -> MultiPoly:
     raise ValueError(f"unknown algorithm {algorithm!r} (expected br or tab)")
 
 
-def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly:
+def _schur_expansion(
+    coeffs, ctx: SchurContext, hook: bool = False, dominant: bool = False
+) -> MultiPoly:
     """sum c s_lambda over the (rows, c) pairs of ``coeffs``, or sum c hs_lambda
     with ``hook``, by one branching pass over the whole family.  Each ``rows``
     is lambda's parts without trailing zeros, trusted and not checked.
+    With ``dominant`` the sum keeps only its terms whose exponents weakly
+    decrease: for a plain sum, each symmetric, these are its Kostka sums.
 
     The pass removes the variables from the last one down, carrying
     {nu: {exponents of the variables removed: coefficient}}.  Removing z_k
@@ -230,6 +234,9 @@ def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly
     interlaces nu, rows from ``first`` on (from 0) capped at ``cap``: k rows
     for an even z_k, the (n | k - n) hook for an odd one.  That cap suffices
     and leaves no range empty, since nu' is at most n from row k - n + 1 on.
+    An exponent vector is built from its last entry forward, so ``dominant``
+    drops it as soon as a new entry is below the one after it, and drops a
+    kappa whose size cannot give each variable left at least that entry.
     """
     n, m = ctx.n, ctx.m if hook else 0
     seeds: dict[tuple[int, ...], int] = {}
@@ -255,9 +262,16 @@ def _schur_expansion(coeffs, ctx: SchurContext, hook: bool = False) -> MultiPoly
             size = sum(nu)
             for kappa in strips:
                 kappa = kappa[: len(kappa) - kappa.count(0)]
-                d = 2 * (size - sum(kappa))
+                rest = sum(kappa)
+                d = 2 * (size - rest)
+                items = terms.items()
+                if dominant:
+                    # the k variables left need exponents of at least d each
+                    if k * d > 2 * rest:
+                        continue
+                    items = [(e, c) for e, c in items if not e or e[0] <= d]
                 into = below.setdefault(kappa, {})
-                for e, c in terms.items():
+                for e, c in items:
                     e = (d,) + e
                     s = into.get(e, 0) + c
                     if s:

@@ -19,11 +19,8 @@ determinant, det(x_j^(-chi_i) - x_j^(chi_i)): epsilon(w) is the permutation
 parity times the product of the signs, so the sum over signs factors row
 by row and the sum over permutations is a determinant.
 
-Alternants are straightened onto partitions plus delta for S_n
-(``_straighten_type_a``, used by the Schur-basis identity checks) and onto
-strictly dominant weights for B_n (``_straighten``).  A B_n straightening
-is a type-A one on the absolute values: its sign is the sign flips times
-the S_n sort sign.
+S_n alternants are straightened onto partitions plus delta
+(``_straighten_type_a``, used by the Schur-basis identity checks).
 """
 
 from __future__ import annotations
@@ -343,30 +340,6 @@ def alternant(chi: Weight, max_rank: int = ALTERNANT_RANK_LIMIT) -> MultiPoly:
         return MultiPoly._of(n, {before + (-c,) + after: 1, before + (c,) + after: -1} if c else {})
 
     return _det([[entry(c, j) for j in range(n)] for c in chi.coords], n)
-
-
-def _straighten(coords) -> tuple[int, tuple[int, ...]] | None:
-    """Write a weight v (half units) as w(nu) with nu strictly dominant.
-
-    Returns ``(epsilon(w), nu)``, so that D_v = epsilon(w) D_nu, or None when
-    v is singular (a zero coordinate or two equal absolute values), where
-    D_v = 0.  w flips the signs of the negative coordinates and then sorts
-    the absolute values into decreasing order, so the B_n sign is the sign
-    flips times the S_n sort sign.  ``_straighten_type_a`` of the absolute
-    values gives that sort sign, and nu less delta.
-    """
-    if 0 in coords:
-        return None
-    hit = _straighten_type_a([abs(c) for c in coords])
-    if hit is None:
-        return None
-    sign, nu = hit
-    if sum(1 for c in coords if c < 0) % 2:
-        sign = -sign
-    # distinct positive entries leave no zero row to strip, so adding delta
-    # back to all n rows restores the sorted absolute values
-    top = len(nu) - 1
-    return sign, tuple(x + top - i for i, x in enumerate(nu))
 
 
 def _straighten_type_a(exponents) -> tuple[int, tuple[int, ...]] | None:

@@ -49,7 +49,6 @@ from parafock.weyl import (
     kostant_weight,
     w1_element,
     weight_monomial,
-    _straighten,
     _straighten_type_a,
 )
 from test_weyl import _phi_sigma_by_image
@@ -474,8 +473,11 @@ def test_weyl_character_straightening_matches_the_alternant_product():
         lambda chi, n: chi + MultiPoly.variable(n, 0),  # not Weyl-invariant
         lambda chi, n: chi * 2,
         lambda chi, n: chi + MultiPoly.one(n),
+        # every term keeps its sorted vector's coefficient, but at n >= 2
+        # the orbit of x_1 loses x_n
+        lambda chi, n: chi - MultiPoly.variable(n, n - 1),
     ],
-    ids=["plus-x1", "times-2", "plus-1"],
+    ids=["plus-x1", "times-2", "plus-1", "minus-xn"],
 )
 def test_weyl_character_failures_match_the_alternant_product(monkeypatch, perturb):
     real = kostant.branching_character
@@ -505,7 +507,7 @@ def test_weyl_character_pass_builds_no_alternant(monkeypatch):
     # past the alternant's rank limit too: no guard stands before the pass
     for n, p in [(4, 2), (7, 2), (7, 3), (8, 2)]:
         assert verify_weyl_character(n, p).passed
-    # straightening onto dominant weights never walks the 2^n n! group
+    # the dominant-weight tests never walk the 2^n n! group
     assert calls == []
 
 
@@ -655,13 +657,23 @@ def _double_last(family, kwargs):
 
 
 def _double_all(family, kwargs):
-    # the only perturbation here whose shifted parafermion character stays
-    # Weyl-invariant, so the only one that takes the Brauer branch
+    # the shifted parafermion character stays Weyl-invariant, and only
+    # Freudenthal's multiplicities see the change
     return family + family
 
 
-@pytest.mark.parametrize("perturb", [_drop_last, _add_outside, _double_last, _double_all],
-                         ids=["drop", "extra", "duplicate", "double"])
+def _double_first(family, kwargs):
+    # one more empty diagram changes only the coefficient of x^0; the
+    # dominant multiplicities are read at exponents >= p/2, so for p >= 1
+    # only the reflection test sees it
+    return family + family[:1]
+
+
+PERTURBATIONS = [_drop_last, _add_outside, _double_last, _double_all, _double_first]
+PERTURBATION_IDS = ["drop", "extra", "duplicate", "double", "double-empty"]
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS, ids=PERTURBATION_IDS)
 @pytest.mark.parametrize(
     "case",
     [(1, 1, None, "printed"), (2, 2, None, "printed"), (3, 1, None, "printed"),
@@ -685,8 +697,8 @@ def test_perturbed_branching_family_fails_where_the_product_does(monkeypatch, ca
     n, p, D, den = case
     if D is None:
         rep = verify_parafermion_identity(n, p)
-        # a family that is not Weyl-invariant falls back to the denominator
-        assert fallbacks == ([] if perturb is _double_all else [None])
+        # a family whose character is not L(p theta)'s takes the denominator
+        assert fallbacks == [None]
     else:
         rep = verify_paraboson_identity(n, p, D, den)
         assert fallbacks == [D]
@@ -787,7 +799,8 @@ def test_paraboson_maps_are_the_conjugate_parafermion_maps():
     # omega duality (verify_paraboson_identity's docstring): the printed
     # paraboson maps at (n, p, D) are the parafermion maps at N' = max(D, 1)
     # variables, cut to |nu| <= D, conjugated and cut to at most n rows.  The
-    # type-B Brauer pass and the type-A carry share no code.
+    # dominant-weight pass, which expands D_{rho + p theta}, and the type-A
+    # carry share only the type-A straightener.
     cases = 0
     for p in range(4):
         for D in range(9):
@@ -809,47 +822,6 @@ def test_paraboson_maps_are_the_conjugate_parafermion_maps():
     assert cases == 216
 
 
-def _brauer_product_by_shifted_copy(chi, p):
-    """The Brauer product by its definition: shift chi by -p/2 into a copy,
-    check the copy against the simple reflections (adjacent swaps and the
-    last sign change), then straighten rho - e for each term x^e."""
-    n = chi.nvars
-    shifted = {tuple(x - p for x in e): c for e, c in chi.terms.items()}
-    for e, c in shifted.items():
-        for i in range(n - 1):
-            if shifted.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]) != c:
-                return None
-        if shifted.get(e[:-1] + (-e[-1],)) != c:
-            return None
-    rho, out = Weight.rho(n).coords, {}
-    for e, c in shifted.items():
-        hit = _straighten([r - x for r, x in zip(rho, e)])
-        if hit is not None:
-            out[hit[1]] = out.get(hit[1], 0) + hit[0] * c
-    return {nu: c for nu, c in out.items() if c}
-
-
-def test_brauer_product_matches_the_shifted_copy():
-    for n in range(1, 6):
-        for p in range(4):
-            chi = branching_character(n, p)
-            coeffs = kostant._brauer_product(chi, p)
-            assert coeffs is not None and coeffs == _brauer_product_by_shifted_copy(chi, p)
-            # the weyl-character perturbation, invariant only at (1, 2),
-            # where 1 + 2 x1 + x1^2 is symmetric about x1; at p = 0 only a
-            # swap lookup sees that 1 + x1 is not invariant
-            plus_x1 = chi + MultiPoly.variable(n, 0)
-            expected = _brauer_product_by_shifted_copy(plus_x1, p)
-            assert kostant._brauer_product(plus_x1, p) == expected, (n, p)
-            assert (expected is None) == ((n, p) != (1, 2)), (n, p)
-            for perturb in (_drop_last, _add_outside, _double_last, _double_all):
-                kwargs = {"max_part": p, "max_length": n}
-                family = perturb(list(enumerate_partitions(**kwargs)), kwargs)
-                chi = _schur_expansion(((lam.parts, 1) for lam in family), SchurContext(n))
-                expected = _brauer_product_by_shifted_copy(chi, p)
-                assert kostant._brauer_product(chi, p) == expected, (n, p, perturb)
-
-
 def test_sign_patterns_of_the_top_weight_give_the_cohomology_table():
     # Kostant's theorem, combinatorially: D_{rho+p theta} alone, expanded
     # over its 2^n sign patterns and straightened in type A, is the Euler
@@ -857,7 +829,7 @@ def test_sign_patterns_of_the_top_weight_give_the_cohomology_table():
     for n in range(1, 13):
         for p in range(4):
             top = Weight.rho(n) + Weight.p_theta(n, p)
-            got = kostant._shifted_alternants({top.coords: 1}, n, 2 * n - 1 + p)
+            got = kostant._shifted_alternants(top.coords)
             euler = kostant._euler_characteristic(cohomology_via_partitions(n, p).entries)
             assert got == euler, (n, p)
 
@@ -868,6 +840,91 @@ def test_rank_seven_parafermion_passes_without_the_denominator(monkeypatch):
 
     monkeypatch.setattr(kostant, "_denominator_times", unreachable)
     assert verify_parafermion_identity(7, 2).passed
+
+
+def _is_sorted(e):
+    return all(a >= b for a, b in zip(e, e[1:]))
+
+
+def test_kostka_sums_are_the_sorted_coefficients():
+    # the pass restricted to weakly decreasing vectors keeps exactly the
+    # whole expansion's coefficients there, for true and perturbed families
+    for n in range(1, 6):
+        for p in range(4):
+            kwargs = {"max_part": p, "max_length": n}
+            true = list(enumerate_partitions(**kwargs))
+            for family in [true] + [perturb(true, kwargs) for perturb in PERTURBATIONS]:
+                pairs = [(lam.parts, 1) for lam in family]
+                whole = _schur_expansion(pairs, SchurContext(n)).terms
+                kostka = _schur_expansion(pairs, SchurContext(n), dominant=True).terms
+                assert kostka == {e: c for e, c in whole.items() if _is_sorted(e)}, (n, p)
+                # a sum of Schur polynomials passes the S_n test as it stands
+                assert kostant._sorted_terms(whole) == kostka, (n, p)
+            # every multiset over 0..p is a weight of L(p theta)
+            assert len(kostant._schur_expansion(
+                ((lam.parts, 1) for lam in true), SchurContext(n), dominant=True
+            )) == math.comb(n + p, n)
+
+
+def test_freudenthal_matches_the_branching_character():
+    # the dominant weight e - p theta of L(p theta) is x^e in the branching
+    # character, for weakly decreasing e with every entry at least p/2
+    for n in range(1, 7):
+        for p in range(4):
+            expected = {
+                tuple(x - p for x in e): c
+                for e, c in branching_character(n, p).terms.items()
+                if _is_sorted(e) and e[-1] >= p
+            }
+            assert kostant._freudenthal(n, p) == expected, (n, p)
+
+
+def test_freudenthal_orbit_sum_is_the_weyl_dimension():
+    # sum of m(mu) |W mu| against Weyl's product; no Schur engine involved
+    for n in range(1, 9):
+        for p in range(4):
+            total = 0
+            for mu, m in kostant._freudenthal(n, p).items():
+                stabiliser = math.prod(math.factorial(mu.count(v)) for v in set(mu))
+                total += m * 2 ** (n - mu.count(0)) * math.factorial(n) // stabiliser
+            assert total == dim_so(Weight.p_theta(n, p), n), (n, p)
+
+
+def test_freudenthal_refuses_a_non_integral_quotient(monkeypatch):
+    # gl(n)'s rho = (n - 1, ..., 0) in place of B_n's: at (1, 3) the weight
+    # 1/2 gets 2 * 3 / 8
+    monkeypatch.setattr(
+        Weight, "rho", classmethod(lambda cls, n: cls._of(tuple(range(2 * n - 2, -1, -2))))
+    )
+    with pytest.raises(ArithmeticError, match="not integral; convention bug"):
+        kostant._freudenthal(1, 3)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0), (4, 3), (7, 2), (8, 3)])
+def test_parafermion_pass_reads_only_dominant_contents(monkeypatch, n, p):
+    expansions, straightened = [], []
+    real_expansion, real_straighten = kostant._schur_expansion, kostant._straighten_type_a
+
+    def spy_expansion(coeffs, ctx, hook=False, dominant=False):
+        out = real_expansion(coeffs, ctx, hook, dominant)
+        expansions.append((dominant, len(out)))
+        return out
+
+    def spy_straighten(v):
+        straightened.append(v)
+        return real_straighten(v)
+
+    def unreachable(*args):
+        raise AssertionError("the parafermion pass applied the denominator")
+
+    monkeypatch.setattr(kostant, "_schur_expansion", spy_expansion)
+    monkeypatch.setattr(kostant, "_straighten_type_a", spy_straighten)
+    monkeypatch.setattr(kostant, "_denominator_times", unreachable)
+    assert verify_parafermion_identity(n, p).passed
+    # one pass over the C(n + p, n) weakly decreasing contents, against
+    # (p + 1)^n monomials, then the 2^n sign patterns of D_{rho + p theta}
+    assert expansions == [(True, math.comb(n + p, n))]
+    assert len(straightened) == 2 ** n
 
 
 def test_paraboson_denominator_oracle_is_the_product_of_its_factors():
@@ -908,7 +965,7 @@ def _spy_on_factor_steps(monkeypatch):
 def test_verifiers_never_expand_the_whole_denominator(monkeypatch):
     steps, products = _spy_on_factor_steps(monkeypatch)
     assert verify_parafermion_identity(5, 3).passed
-    # Brauer's formula needs no orbit, nor any other product
+    # the dominant-weight pass needs no orbit, nor any other product
     assert steps == [] and products == []
     n, D = 4, 10
     assert verify_paraboson_identity(n, 3, D, "symmetric").status == "fail"
@@ -1021,7 +1078,7 @@ def test_parafermion_and_paraboson_pass_without_products(monkeypatch):
     monkeypatch.setattr(schur_module, "_schur_expansion", spy_expansion)
     monkeypatch.setattr(kostant, "_schur_expansion", spy_expansion)
     assert verify_parafermion_identity(4, 3).passed
-    # Brauer's formula expands the branching character, from diagrams in
+    # the Kostka pass expands the branching character, from diagrams in
     # the 3^4 box alone; nothing else is expanded
     assert expanded
     assert all(len(parts) <= 4 and max(parts, default=0) <= 3 for parts in expanded)

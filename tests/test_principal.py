@@ -15,8 +15,8 @@ then an integer polynomial in t, compared in full for the parafermion
 identity and through t^D for the paraboson one.
 
 The oracle reads only the cohomology table, ``enumerate_partitions`` and
-conjugation: no Brauer product, no straightening, no branching pass and no
-factor step.  It is a necessary condition, one linear functional per
+conjugation: no dominant-weight test, no straightening, no branching pass
+and no factor step.  It is a necessary condition, one linear functional per
 degree, so a mismatch proves a failure; the tests below pin it to the
 library's verdicts where both run, and run it alone at sizes the library's
 whole-product oracles cannot reach.
@@ -32,7 +32,7 @@ from parafock.kostant import (
 from parafock.partitions import Partition, enumerate_partitions
 from parafock.polyring import MultiPoly
 from parafock.schur import SchurContext, schur
-from test_kostant import _add_outside, _double_all, _double_last, _drop_last
+from test_kostant import PERTURBATION_IDS, PERTURBATIONS
 
 Q = 3
 
@@ -187,8 +187,7 @@ def test_the_printed_paraboson_check_passes_with_more_variables_than_degree(n, p
     assert paraboson_by_specialisation(n, p, D)
 
 
-@pytest.mark.parametrize("perturb", [_drop_last, _add_outside, _double_last, _double_all],
-                         ids=["drop", "extra", "duplicate", "double"])
+@pytest.mark.parametrize("perturb", PERTURBATIONS, ids=PERTURBATION_IDS)
 @pytest.mark.parametrize(
     "case",
     [(1, 1, None, "printed"), (2, 2, None, "printed"), (3, 1, None, "printed"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parafock import weyl
-from parafock.kostant import _brauer_product
+from parafock.kostant import _reflection_invariant, _sorted_terms
 from parafock.partitions import Partition
 from parafock.polyring import MultiPoly
 from parafock.schur import SchurContext, _sn_alternant, schur
@@ -26,7 +26,6 @@ from parafock.weyl import (
     phi_sigma,
     w1_element,
     weight_monomial,
-    _straighten,
     _straighten_type_a,
 )
 
@@ -353,19 +352,6 @@ half_unit_weights = st.integers(1, 4).flatmap(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(half_unit_weights)
-def test_straighten_matches_the_alternant(coords):
-    d = alternant(Weight(coords))
-    hit = _straighten(coords)
-    if hit is None:
-        assert d.is_zero()
-    else:
-        sign, nu = hit
-        assert all(a > b for a, b in zip(nu, nu[1:])) and nu[-1] > 0
-        assert d == alternant(Weight(nu)) * sign
-
-
 def group_sum_alternant(chi):
     """Oracle: sum over every group element w of epsilon(w) x^(-w(chi))."""
     out = MultiPoly.zero(chi.n)
@@ -397,14 +383,6 @@ def test_alternant_builds_no_signed_permutation(monkeypatch):
 
 def test_alternant_matches_the_group_sum_at_rank_zero():
     assert alternant(Weight(())) == group_sum_alternant(Weight(())) == MultiPoly.one(0)
-
-
-def test_straighten_frozen_values():
-    assert _straighten((5, 3, 1)) == (1, (5, 3, 1))
-    assert _straighten((3, 5, 1)) == (-1, (5, 3, 1))
-    assert _straighten((-1, 3, 5)) == (1, (5, 3, 1))
-    assert _straighten((3, -3)) is None
-    assert _straighten((4, 0)) is None
 
 
 exponent_vectors = st.integers(1, 4).flatmap(
@@ -457,7 +435,12 @@ def test_type_a_straighten_frozen_values():
 
 
 def test_weyl_invariance_check():
-    # the Brauer product at p = 0 reads invariance off the terms themselves
+    # at p = 0: S_n invariance read off the terms, the sign changes off the
+    # Kostka map that leaves
+    def invariant(chi):
+        kostka = _sorted_terms(chi.terms)
+        return kostka is not None and _reflection_invariant(kostka, 0)
+
     n = 3
     one = MultiPoly.one(n)
     orbit_e1 = MultiPoly.zero(n)
@@ -466,15 +449,16 @@ def test_weyl_invariance_check():
             e = [0] * n
             e[i] = s
             orbit_e1 = orbit_e1 + MultiPoly.half_term(n, e)
-    assert _brauer_product(orbit_e1 * orbit_e1 + one * 5, 0) is not None
+    assert invariant(orbit_e1 * orbit_e1 + one * 5)
     d = alternant(Weight.rho(n))
-    assert _brauer_product(d * d, 0) is not None
+    assert invariant(d * d)
     # antisymmetric, symmetric only under S_n, or only under the sign changes
-    assert _brauer_product(d, 0) is None
-    assert _brauer_product(sum((MultiPoly.variable(n, i) for i in range(n)), one), 0) is None
-    assert _brauer_product(
-        MultiPoly.half_term(n, (2, 0, 0)) + MultiPoly.half_term(n, (-2, 0, 0)), 0
-    ) is None
+    assert not invariant(d)
+    assert not invariant(sum((MultiPoly.variable(n, i) for i in range(n)), one))
+    assert not invariant(MultiPoly.half_term(n, (2, 0, 0)) + MultiPoly.half_term(n, (-2, 0, 0)))
+    # each term has its sorted vector's coefficient, but an orbit is short
+    assert not invariant(orbit_e1 - MultiPoly.half_term(n, (0, 0, 2)))
+    assert _sorted_terms((orbit_e1 - MultiPoly.half_term(n, (0, 0, 2))).terms) is None
 
 
 # -- dimension formulas -------------------------------------------------------------------
