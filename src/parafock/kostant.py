@@ -47,10 +47,10 @@ at a time under the degree bound, and is straightened back onto +-s_nu
 ever expanded, and neither side's Schur polynomials are.  The
 parastatistics identity is compared by truncated integer polynomial
 arithmetic, each side taking its factors one at a time under the degree
-cap.  The Weyl-character check asks the same question of the
-branching character's own terms, once they are S_n-invariant, and expands
-the 2^n n!-term alternants only to locate a failure.  Nothing
-is ever divided or rounded.  Every failure is named by ``_first_discrepancy``:
+cap.  The Weyl-character check asks the same question of the same family
+through the same test, and expands the family's character and the 2^n
+n!-term alternants only to locate a failure.  Nothing is ever divided or
+rounded.  Every failure is named by ``_first_discrepancy``:
 the first offending monomial, in graded-lexicographic order, of the two
 sides expanded as polynomials (the Schur-basis checks expand only their
 lowest differing degree).
@@ -355,59 +355,44 @@ def verify_weyl_character(n: int, p: int) -> VerificationReport:
 
     D_rho is no zero divisor, so the identity holds exactly when chi' =
     D_{rho + p theta} / D_rho, the character of L(p theta) by Weyl's
-    formula.  chi' is read off the branching character's terms: once each
-    term's coefficient equals its sorted vector's and the terms fill those
-    vectors' S_n orbits, chi is symmetric and its Kostka map, the terms on
-    weakly decreasing vectors, decides it (``_is_level_p_character``).
-    Neither side's 2^n n!-term alternant is built, and nothing is divided.
+    formula.  The branching family, every lambda inside the p^n box, is read
+    once and decided by ``_is_level_p_character``, the parafermion check's
+    test, on its C(n + p, n) Kostka sums.  Neither chi's (p+1)^n monomials
+    nor either side's 2^n n!-term alternant is built, and nothing is divided.
 
-    Only on failure are both sides expanded as Laurent polynomials, to
-    locate the first offending monomial; ``alternant`` guards that product
-    by its own rank limit, before any of its terms is built.
+    Only on failure are both sides expanded as Laurent polynomials, chi from
+    the family that was read, to locate the first offending monomial;
+    ``alternant`` guards that product by its own rank limit, before any of
+    its terms is built.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
+    family = list(enumerate_partitions(max_part=p, max_length=n))
+    if _is_level_p_character(n, p, family):
+        return VerificationReport("weyl-character", n, None, p, None, None)
     rho = Weight.rho(n)
     theta_p = Weight.p_theta(n, p)
-    branching = branching_character(n, p)
-    kostka = _sorted_terms(branching.terms)
-    if kostka is not None and _is_level_p_character(kostka, n, p):
-        return VerificationReport("weyl-character", n, None, p, None, None)
     lhs = alternant(rho + theta_p)
-    rhs = alternant(rho) * weight_monomial(theta_p) * branching
+    chi = _schur_expansion(((lam.parts, 1) for lam in family), SchurContext(n))
+    rhs = alternant(rho) * weight_monomial(theta_p) * chi
     return VerificationReport("weyl-character", n, None, p, None, _first_discrepancy(lhs, rhs))
 
 
-def _sorted_terms(terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int] | None:
-    """The terms on weakly decreasing exponent vectors, or None unless the
-    terms are S_n-invariant: each term's coefficient equals its sorted
-    vector's, so each term lies in the orbit of a kept one, and the terms
-    fill those orbits, n! / prod(multiplicity!) vectors each."""
-    kept = {}
-    for e, c in terms.items():
-        s = tuple(sorted(e, reverse=True))
-        if terms.get(s) != c:
-            return None
-        if s == e:
-            kept[e] = c
-    orbits = sum(
-        math.factorial(len(e)) // math.prod(math.factorial(e.count(v)) for v in set(e))
-        for e in kept
-    )
-    return kept if orbits == len(terms) else None
+def _is_level_p_character(n: int, p: int, family) -> bool:
+    """Whether chi' = x^{-(p/2)1} chi is the character of L(p theta), for
+    chi = sum_{lambda in family} s_lambda in n variables.
 
-
-def _is_level_p_character(kostka: dict[tuple[int, ...], int], n: int, p: int) -> bool:
-    """Whether chi' = x^{-(p/2)1} chi is the character of L(p theta), for a
-    symmetric chi in n variables given by its Kostka map {weakly decreasing
-    e: coefficient m(e) of x^e} (half units).
-
-    x^e in chi is exp(p theta - e) in chi', so chi' is W(B_n)-invariant
-    exactly when ``_reflection_invariant`` holds.  An invariant chi' is
-    determined by its dominant multiplicities, at the e with every entry
-    at least p/2, where exp(p theta - e) is conjugate to exp(e - p theta)
-    with e - p theta dominant; it is the character of L(p theta) exactly
-    when these equal ``_freudenthal``'s.
+    chi is symmetric, so its Kostka map {weakly decreasing e: coefficient
+    m(e) of x^e} (half units) determines it; the branching pass builds it
+    on those vectors alone, at most C(n + p, n) of them for a family in the
+    p^n box.  x^e in chi is exp(p theta - e) in chi', so chi' is
+    W(B_n)-invariant exactly when ``_reflection_invariant`` holds.  An
+    invariant chi' is determined by its dominant multiplicities, at the e
+    with every entry at least p/2, where exp(p theta - e) is conjugate to
+    exp(e - p theta) with e - p theta dominant; it is the character of
+    L(p theta) exactly when these equal ``_freudenthal``'s.
     """
+    pairs = ((lam.parts, 1) for lam in family)
+    kostka = _schur_expansion(pairs, SchurContext(n), dominant=True).terms
     if not _reflection_invariant(kostka, p):
         return False
     dominant = {tuple(x - p for x in e): c for e, c in kostka.items() if e[-1] >= p}
@@ -538,13 +523,10 @@ def _parafermion_times(n: int, p: int, family) -> dict[tuple[int, ...], int] | N
     c = n - 1/2 + p/2.  When chi' is the character of L(p theta), Weyl's
     formula gives D_rho chi' = D_{rho + p theta}, which
     ``_shifted_alternants`` writes in the Schur basis, since its top
-    coordinate is rho_1 + p/2 = c.  chi is symmetric, so
-    ``_is_level_p_character`` decides it on its Kostka map, which the
-    branching pass builds on the weakly decreasing exponent vectors alone:
-    at most C(n + p, n) of them for a family in the p^n box.
+    coordinate is rho_1 + p/2 = c.  ``_is_level_p_character`` decides
+    whether chi' is that character.
     """
-    chi = _schur_expansion(((lam.parts, 1) for lam in family), SchurContext(n), dominant=True)
-    if not _is_level_p_character(chi.terms, n, p):
+    if not _is_level_p_character(n, p, family):
         return None
     return _shifted_alternants(tuple(range(2 * n - 1 + p, p, -2)))
 

@@ -450,6 +450,20 @@ def test_rank_limit_guard(capsys):
         assert "safety limit" in err
 
 
+def test_paraboson_rank_limit_reads_the_variables_the_check_builds(capsys):
+    # the printed check carries min(n, max(D, 1)) variables, so at D = 4 rank
+    # 14 needs no --force and at D = 7 it does; the symmetric variant locates
+    # its known failure in all n, so its guard reads n
+    base = ("verify", "--identity", "paraboson", "--n", "14", "--p", "2")
+    code, out, err = run(capsys, *base, "--degree", "4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
+    for argv, rank in (("--degree", "7"), 7), (("--degree", "4", "--alt-denominator"), 14):
+        code, out, err = run(capsys, *base, *argv)
+        assert code == 2 and out == ""
+        assert f"rank {rank} exceeds the safety limit" in err
+
+
 def test_rank_limit_can_be_forced(capsys):
     code, out, _ = run(capsys, "cohomology", "--n", "7", "--p", "0", "--force")
     assert code == 0

@@ -451,11 +451,14 @@ def test_weyl_character_reports_pass():
     assert verify_weyl_character(3, 3).passed
 
 
-def _weyl_character_by_product(n, p, branching=branching_character):
-    """The monomial verdict: expand both alternants and compare term by term."""
+def _weyl_character_by_product(n, p, chi=None):
+    """The monomial verdict: expand both alternants and compare term by term,
+    for the branching character or a given character chi."""
+    if chi is None:
+        chi = branching_character(n, p)
     rho, theta_p = Weight.rho(n), Weight.p_theta(n, p)
     lhs = alternant(rho + theta_p)
-    rhs = alternant(rho) * weight_monomial(theta_p) * branching(n, p)
+    rhs = alternant(rho) * weight_monomial(theta_p) * chi
     disc = _first_discrepancy(lhs, rhs)
     return ("pass" if disc is None else "fail"), disc
 
@@ -467,32 +470,63 @@ def test_weyl_character_straightening_matches_the_alternant_product():
             assert (rep.status, rep.first_discrepancy) == _weyl_character_by_product(n, p)
 
 
-@pytest.mark.parametrize(
-    "perturb",
-    [
-        lambda chi, n: chi + MultiPoly.variable(n, 0),  # not Weyl-invariant
-        lambda chi, n: chi * 2,
-        lambda chi, n: chi + MultiPoly.one(n),
-        # every term keeps its sorted vector's coefficient, but at n >= 2
-        # the orbit of x_1 loses x_n
-        lambda chi, n: chi - MultiPoly.variable(n, n - 1),
-    ],
-    ids=["plus-x1", "times-2", "plus-1", "minus-xn"],
-)
+# Perturbations of a branching family, each given the family's enumeration
+# arguments; every one makes the identity checks fail.
+
+def _drop_last(family, kwargs):
+    return family[:-1]
+
+
+def _add_outside(family, kwargs):
+    if "max_part" in kwargs:
+        return family + [Partition([kwargs["max_part"] + 1])]
+    return family + [Partition([1] * (kwargs["max_length"] + 1))]
+
+
+def _double_last(family, kwargs):
+    return family + family[-1:]
+
+
+def _double_all(family, kwargs):
+    # the shifted parafermion character stays Weyl-invariant, and only
+    # Freudenthal's multiplicities see the change
+    return family + family
+
+
+def _double_first(family, kwargs):
+    # one more empty diagram changes only the coefficient of x^0; the
+    # dominant multiplicities are read at exponents >= p/2, so for p >= 1
+    # only the reflection test sees it
+    return family + family[:1]
+
+
+PERTURBATIONS = [_drop_last, _add_outside, _double_last, _double_all, _double_first]
+PERTURBATION_IDS = ["drop", "extra", "duplicate", "double", "double-empty"]
+
+
+def _perturbed_family(monkeypatch, perturb):
+    """Make ``kostant`` read every branching family through ``perturb``."""
+    real = kostant.enumerate_partitions
+
+    def broken(**kwargs):
+        return perturb(list(real(**kwargs)), kwargs)
+
+    monkeypatch.setattr(kostant, "enumerate_partitions", broken)
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS, ids=PERTURBATION_IDS)
 def test_weyl_character_failures_match_the_alternant_product(monkeypatch, perturb):
-    real = kostant.branching_character
-
-    def broken(n, p):
-        return perturb(real(n, p), n)
-
-    monkeypatch.setattr(kostant, "branching_character", broken)
+    _perturbed_family(monkeypatch, perturb)
     for n in range(1, 5):
         for p in range(3):
+            kwargs = {"max_part": p, "max_length": n}
+            family = perturb(list(enumerate_partitions(**kwargs)), kwargs)
+            chi = _schur_expansion(((lam.parts, 1) for lam in family), SchurContext(n))
             rep = verify_weyl_character(n, p)
-            assert rep.status == "fail"
+            assert rep.status == "fail", (n, p)
             assert (rep.status, rep.first_discrepancy) == _weyl_character_by_product(
-                n, p, broken
-            )
+                n, p, chi
+            ), (n, p)
 
 
 def test_weyl_character_pass_builds_no_alternant(monkeypatch):
@@ -511,16 +545,21 @@ def test_weyl_character_pass_builds_no_alternant(monkeypatch):
     assert calls == []
 
 
+def test_weyl_character_pass_never_builds_the_branching_character(monkeypatch):
+    def unreachable(n, p):
+        raise AssertionError("the pass expanded the branching character")
+
+    monkeypatch.setattr(kostant, "branching_character", unreachable)
+    for n in range(1, 9):
+        for p in range(4):
+            assert verify_weyl_character(n, p).passed, (n, p)
+
+
 def test_weyl_character_failure_stops_at_the_alternant_guard(monkeypatch):
-    real = kostant.branching_character
-
-    def broken(n, p):
-        return real(n, p) + MultiPoly.variable(n, 0)
-
     def unreachable(rows, n):
         raise AssertionError("the rank guard must fire before any alternant term")
 
-    monkeypatch.setattr(kostant, "branching_character", broken)
+    _perturbed_family(monkeypatch, _drop_last)
     monkeypatch.setattr(weyl, "_det", unreachable)
     with pytest.raises(ValueError, match="exceeds the alternant limit 6"):
         verify_weyl_character(7, 2)
@@ -642,37 +681,6 @@ def test_paraboson_schur_basis_matches_the_monomial_product():
     assert failures > 0
 
 
-def _drop_last(family, kwargs):
-    return family[:-1]
-
-
-def _add_outside(family, kwargs):
-    if "max_part" in kwargs:
-        return family + [Partition([kwargs["max_part"] + 1])]
-    return family + [Partition([1] * (kwargs["max_length"] + 1))]
-
-
-def _double_last(family, kwargs):
-    return family + family[-1:]
-
-
-def _double_all(family, kwargs):
-    # the shifted parafermion character stays Weyl-invariant, and only
-    # Freudenthal's multiplicities see the change
-    return family + family
-
-
-def _double_first(family, kwargs):
-    # one more empty diagram changes only the coefficient of x^0; the
-    # dominant multiplicities are read at exponents >= p/2, so for p >= 1
-    # only the reflection test sees it
-    return family + family[:1]
-
-
-PERTURBATIONS = [_drop_last, _add_outside, _double_last, _double_all, _double_first]
-PERTURBATION_IDS = ["drop", "extra", "duplicate", "double", "double-empty"]
-
-
 @pytest.mark.parametrize("perturb", PERTURBATIONS, ids=PERTURBATION_IDS)
 @pytest.mark.parametrize(
     "case",
@@ -682,17 +690,14 @@ PERTURBATION_IDS = ["drop", "extra", "duplicate", "double", "double-empty"]
     ids=str,
 )
 def test_perturbed_branching_family_fails_where_the_product_does(monkeypatch, case, perturb):
-    real, real_times = kostant.enumerate_partitions, kostant._denominator_times
+    real_times = kostant._denominator_times
     fallbacks = []
-
-    def broken(**kwargs):
-        return perturb(list(real(**kwargs)), kwargs)
 
     def spy_times(n, symmetric, family, degree=None):
         fallbacks.append(degree)
         return real_times(n, symmetric, family, degree)
 
-    monkeypatch.setattr(kostant, "enumerate_partitions", broken)
+    _perturbed_family(monkeypatch, perturb)
     monkeypatch.setattr(kostant, "_denominator_times", spy_times)
     n, p, D, den = case
     if D is None:
@@ -849,7 +854,7 @@ def _is_sorted(e):
 def test_kostka_sums_are_the_sorted_coefficients():
     # the pass restricted to weakly decreasing vectors keeps exactly the
     # whole expansion's coefficients there, for true and perturbed families
-    for n in range(1, 6):
+    for n in range(1, 7):
         for p in range(4):
             kwargs = {"max_part": p, "max_length": n}
             true = list(enumerate_partitions(**kwargs))
@@ -858,8 +863,9 @@ def test_kostka_sums_are_the_sorted_coefficients():
                 whole = _schur_expansion(pairs, SchurContext(n)).terms
                 kostka = _schur_expansion(pairs, SchurContext(n), dominant=True).terms
                 assert kostka == {e: c for e, c in whole.items() if _is_sorted(e)}, (n, p)
-                # a sum of Schur polynomials passes the S_n test as it stands
-                assert kostant._sorted_terms(whole) == kostka, (n, p)
+                if family is true:
+                    # the branch command prints the character the check reads
+                    assert branching_character(n, p).terms == whole, (n, p)
             # every multiset over 0..p is a weight of L(p theta)
             assert len(kostant._schur_expansion(
                 ((lam.parts, 1) for lam in true), SchurContext(n), dominant=True
