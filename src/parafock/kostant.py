@@ -47,9 +47,13 @@ at a time under the degree bound, and is straightened back onto +-s_nu
 ever expanded, and neither side's Schur polynomials are.  The
 parastatistics identity is compared by truncated integer polynomial
 arithmetic, each side taking its factors one at a time under the degree
-cap.  The Weyl-character check asks the same question of the same family
-through the same test, and expands the family's character and the 2^n
-n!-term alternants only to locate a failure.  Nothing is ever divided or
+cap.  Its right side starts from a closed form of the box family times
+prod(1 - x_i) in the Schur basis, a signed sum over diagrams with paired
+rows below a full column p + 1, so only the odd block's 1 - y_j^2 and the
+same-parity 1 - z_i z_j remain to multiply in.  The Weyl-character
+check asks the same question of the same family through the same test,
+and expands the family's character and the 2^n n!-term alternants only
+to locate a failure.  Nothing is ever divided or
 rounded.  Every failure is named by ``_first_discrepancy``:
 the first offending monomial, in graded-lexicographic order, of the two
 sides expanded as polynomials (the Schur-basis checks expand only their
@@ -698,13 +702,48 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
 
     The Euler sum reads a cohomology table bounded at |mu^(p)| <= D, which
     builds only the entries that can appear below the cap.  Each side is
-    carried as a plain term dict, starting from its sum truncated at degree
+    carried as a plain term dict, starting from a sum truncated at degree
     D, and takes its factors one at a time through the factor step
-    ``_times_binomial`` (1 + x_i x_j on the left; 1 - x_i, then 1 - x_i x_j
-    on the right), which builds no factor.  No factor has a negative
-    exponent, so dropping the terms above D at every step leaves the
-    degree-D truncation of the whole product, and neither product of
-    factors is ever expanded.
+    ``_times_binomial`` (1 + x_i y_j on the left; 1 - y_j^2, then the
+    same-parity 1 - z_i z_j on the right), which builds no factor.  No
+    factor has a negative exponent, so dropping the terms above D at every
+    step leaves the degree-D truncation of the whole product, and neither
+    product of factors is ever expanded.
+
+    The right side starts from a closed form of the box family times
+    prod(1 - x_i), taken in the ring Lambda of symmetric functions:
+
+        M = sum_{lambda_1 <= p} s_lambda sum_k (-1)^k e_k
+          = sum_{l >= 0} (-1)^l sum_{nu_1 <= p} s_{((p+1)^l, nu_1, nu_1, nu_2, nu_2, ...)}.
+
+    By Pieri's rule the coefficient of s_kappa in M is the sum of
+    (-1)^{|kappa/lambda|} over the lambda with lambda_1 <= p and kappa/lambda
+    a vertical strip.  Without the bound on lambda_1 that sum is the
+    coefficient of s_kappa in sum_lambda s_lambda prod(1 - x_i) =
+    prod_{i<j}(1 - x_i x_j)^{-1} = sum_{kappa' even} s_kappa (Macdonald I.5
+    Ex. 5): 1 when kappa's rows pair up, kappa_1 = kappa_2, kappa_3 =
+    kappa_4, ..., and 0 otherwise.  For kappa_1 <= p the bound excludes no
+    lambda.  For kappa_1 = p + 1 the strip, one box a row at most, must
+    take the last box of row 1, and then of every row of length p + 1
+    (lambda is a partition): all l boxes of column p + 1, sign (-1)^l.
+    What remains is any vertical strip of the rows below, all at most p,
+    so they must pair up.  For kappa_1 >= p + 2 no lambda qualifies.
+
+    Superization rho(s_lambda) = hs_lambda is a degree-preserving ring map
+    from Lambda (Berele & Regev 1987), with rho(sum_k (-1)^k e_k) =
+    prod(1 - x_i) / prod(1 + y_j).  So prod(1 - z_i) times the hook Schur
+    sum is rho(M) prod(1 - y_j^2), and the right side is rho(M) prod(1 -
+    y_j^2) prod_same(1 - z_i z_j).  The kernel of rho is spanned by the
+    s_kappa outside the (n|m) hook, and it is an ideal (every s_gamma in a
+    product with such an s_kappa has gamma containing kappa, so outside
+    too): dropping those s_kappa from M changes no product taken after
+    rho.  That drops every l > n when p + 1 > m, since row n + 1 is then
+    p + 1.  Each s_kappa is homogeneous of degree |kappa|, so rho(M)
+    through degree D is the sum over the kappa with |kappa| <= D, which
+    ``_box_sum_times_e`` lists; the branching pass drops the rest of the
+    kernel.  The right side is the same truncated polynomial as the hook
+    Schur sum times every 1 - z_i and 1 - z_i z_j, built from far fewer
+    diagrams and with m squares in place of the n + m single factors.
     """
     n, m, p = _integer(n, "n"), _integer(m, "m"), _integer(p, "p")
     if n + m < 1:
@@ -718,20 +757,36 @@ def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> Verif
     table = cohomology_via_partitions(max((D + 1 - p) // 2, 1), p, D)
 
     def times_factors(terms, c, factors):
-        # each factor 1 + c x^e named by the variables in e: x_i or x_i x_j
+        # each factor 1 + c z^e named by the variables in e: z_i z_j, or z_j^2
         for variables in factors:
             e = tuple(2 * variables.count(k) for k in range(nv))
             terms = _times_binomial(terms, e, c, 2 * D)
         return terms
 
-    # hs_{mu^(p)} is homogeneous of degree |mu^(p)| <= D, so both starting
-    # sums lie within the cut, as the factor step requires; the branching
-    # pass drops the mu^(p) outside the (n|m) hook, where hs vanishes
+    # hs_{mu^(p)} and hs_kappa are homogeneous of degree |mu^(p)|, |kappa|
+    # <= D, so both starting sums lie within the cut, as the factor step
+    # requires; the branching pass drops the diagrams outside the (n|m)
+    # hook, where hs vanishes
     euler = _schur_expansion(_euler_characteristic(table.entries).items(), ctx, hook=True)
     lhs = times_factors(euler.terms, 1, product(range(n), range(n, nv)))
+    start = _schur_expansion(_box_sum_times_e(n, m, p, D), ctx, hook=True)
+    squares = [(j, j) for j in range(n, nv)]
     same = [*combinations(range(n), 2), *combinations(range(n, nv), 2)]
-    rhs = times_factors(
-        schur_sum(("hook", p), ctx, D).poly.terms, -1, [*((i,) for i in range(nv)), *same]
-    )
+    rhs = times_factors(start.terms, -1, [*squares, *same])
     disc = _first_discrepancy(MultiPoly._of(nv, lhs), MultiPoly._of(nv, rhs))
     return VerificationReport("parastat", n, m, p, D, disc)
+
+
+def _box_sum_times_e(n: int, m: int, p: int, D: int):
+    """The (rows, sign) pairs of M = sum_{lambda_1 <= p} s_lambda times
+    sum_k (-1)^k e_k through degree D: each kappa = ((p+1)^l, nu_1, nu_1,
+    nu_2, nu_2, ...) with nu_1 <= p and |kappa| <= D, with sign (-1)^l.
+    Past l = n such a kappa has row n + 1 equal to p + 1, outside the (n|m)
+    hook when p + 1 > m, so l stops at n then."""
+    top = D // (p + 1)
+    if p + 1 > m:
+        top = min(top, n)
+    for l in range(top + 1):
+        head = (p + 1,) * l
+        for nu in enumerate_partitions(max_part=p, max_size=(D - (p + 1) * l) // 2):
+            yield (*head, *(x for x in nu.parts for _ in range(2))), (-1) ** l

@@ -7,7 +7,7 @@ import json
 import math
 import pickle
 import time
-from itertools import combinations, count
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,14 @@ from parafock.partitions import (
     frobenius_decompose,
 )
 from parafock.polyring import MultiPoly, TruncatedSeries
-from parafock.schur import SchurContext, _schur_expansion, _sn_alternant, hook_schur, schur
+from parafock.schur import (
+    SchurContext,
+    _schur_expansion,
+    _sn_alternant,
+    hook_schur,
+    schur,
+    schur_sum,
+)
 from parafock.weyl import (
     ALTERNANT_RANK_LIMIT,
     RootSystemB,
@@ -1326,27 +1333,31 @@ def test_a_perturbed_diagram_outside_the_hook_leaves_parastat_passing(monkeypatc
 def test_parastat_multiplies_in_one_factor_at_a_time(monkeypatch):
     schur_module = importlib.import_module("parafock.schur")
     steps, products = _spy_on_factor_steps(monkeypatch)
-    hook_calls = []
-    real_hook = schur_module.hook_schur
+    sum_calls = []
+    for name in ("hook_schur", "schur_sum"):
+        real = getattr(schur_module, name)
 
-    def spy_hook(*args, **kwargs):
-        hook_calls.append(args)
-        return real_hook(*args, **kwargs)
+        def spy(*args, _real=real, **kwargs):
+            sum_calls.append(args)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(schur_module, "hook_schur", spy_hook)
-    monkeypatch.setattr(kostant, "hook_schur", spy_hook, raising=False)
+        monkeypatch.setattr(schur_module, name, spy)
+        monkeypatch.setattr(kostant, name, spy, raising=False)
     D = 8
     assert verify_parastat_identity(2, 2, 2, D).passed
-    # both sides take their factors one at a time, in half units: the four
-    # 1 + x_i y_j on the left, the four 1 - x_i and the two same-parity
-    # 1 - x_i x_j on the right, and no other product
+    # both sides take their factors one at a time, in half units (x_0, x_1;
+    # y_0, y_1): the four 1 + x_i y_j on the left, the two 1 - y_j^2 and the
+    # two same-parity 1 - z_i z_j on the right, and no other product
     assert products == []
-    assert all(set(e) <= {0, 2} for e, _, _ in steps)
-    assert sorted((c, sum(e)) for e, c, _ in steps) == [(-1, 2)] * 4 + [(-1, 4)] * 2 + [(1, 4)] * 4
+    mixed = [((2, 0, 2, 0), 1), ((2, 0, 0, 2), 1), ((0, 2, 2, 0), 1), ((0, 2, 0, 2), 1)]
+    squares = [((0, 0, 4, 0), -1), ((0, 0, 0, 4), -1)]
+    same = [((2, 2, 0, 0), -1), ((0, 0, 2, 2), -1)]
+    assert sorted((e, c) for e, c, _ in steps) == sorted(mixed + squares + same)
     # ... and never goes above degree D, 2D in half units
     assert max(d for _, _, d in steps) <= 2 * D
-    # the Euler and hook sums come straight from the one branching pass
-    assert hook_calls == []
+    # the Euler sum and the closed form come straight from the one
+    # branching pass; no hook Schur sum is built
+    assert sum_calls == []
 
 
 def test_parastat_checks_only_its_starting_sums(monkeypatch):
@@ -1359,10 +1370,74 @@ def test_parastat_checks_only_its_starting_sums(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__init__", spy)
     assert verify_parastat_identity(2, 2, 2, 8).passed
-    # nothing built inside the check is checked again: ``schur_sum`` wraps
-    # the hook Schur sum it built, the Euler sum and both products stay
-    # plain term dicts, and no factor is lifted to a series
+    # nothing built inside the check is checked again: the Euler sum, the
+    # closed-form starting sum and both products stay plain term dicts, and
+    # no factor is lifted to a series
     assert checked == []
+
+
+def _box_sum_times_e_by_pieri(kappa, p):
+    """Coefficient of s_kappa in sum_{lambda_1 <= p} s_lambda times
+    sum_k (-1)^k e_k by Pieri's rule: the sum of (-1)^{|kappa/lambda|} over
+    the lambda with lambda_1 <= p and kappa/lambda a vertical strip, that is
+    kappa_i - lambda_i in {0, 1} for every row."""
+    total = 0
+    for cut in product((0, 1), repeat=len(kappa)):
+        lam = [k - c for k, c in zip(kappa, cut)]
+        if all(a >= b for a, b in zip(lam, lam[1:])) and (not lam or lam[0] <= p):
+            total += (-1) ** sum(cut)
+    return total
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_parastat_closed_form_matches_pieri(p):
+    # in Lambda: 12 even variables leave every l <= 12 of the closed form
+    D = 12
+    closed = {}
+    for rows, c in kostant._box_sum_times_e(D, 0, p, D):
+        closed[rows] = closed.get(rows, 0) + c
+    pieri = {}
+    for kappa in enumerate_partitions(max_size=D):
+        c = _box_sum_times_e_by_pieri(kappa.parts, p)
+        if c:
+            pieri[kappa.parts] = c
+    assert closed == pieri
+
+
+def _parastat_right_sides(n, m, p, D):
+    """The parastat right side before the same-parity factors, two ways: the
+    closed form expanded and times prod(1 - y_j^2), and the hook Schur sum
+    times prod(1 - z_i), each product whole and truncated at D."""
+    ctx = SchurContext(n, m)
+    nv = n + m
+    one = MultiPoly.one(nv)
+    z = [MultiPoly.variable(nv, i) for i in range(nv)]
+    squares = math.prod((one - z[j] * z[j] for j in range(n, nv)), start=one)
+    singles = math.prod((one - x for x in z), start=one)
+    start = _schur_expansion(kostant._box_sum_times_e(n, m, p, D), ctx, hook=True)
+    fast = TruncatedSeries(start, D) * TruncatedSeries(squares, math.inf)
+    hook_sum = schur_sum(("hook", p), ctx, D)
+    slow = hook_sum * TruncatedSeries(singles, math.inf)
+    return fast.poly, slow.poly
+
+
+def test_parastat_closed_form_matches_the_hook_schur_sum():
+    for n in range(4):
+        for m in range(4):
+            if n + m == 0:
+                continue
+            for p in range(4):
+                for D in range(13):
+                    fast, slow = _parastat_right_sides(n, m, p, D)
+                    assert fast == slow, (n, m, p, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 12))
+def test_parastat_closed_form_matches_the_hook_schur_sum_hypothesis(n, m, p, D):
+    if n + m:
+        fast, slow = _parastat_right_sides(n, m, p, D)
+        assert fast == slow
 
 
 def _spy_on_input_checks(monkeypatch):
