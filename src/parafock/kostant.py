@@ -36,7 +36,8 @@ decided on the C(n + p, n) weakly decreasing exponent vectors of the
 branching character: its Kostka sums must be invariant under the sign
 changes of W(B_n), and its dominant multiplicities must be Freudenthal's.
 Any other family takes the paraboson carry below with the printed
-denominator; no denominator is expanded.  The paraboson
+denominator, only through the degree where the two sides first differ; no
+denominator is expanded.  The paraboson
 denominator is a product of S_n orbits of factors, prod(1-x_i),
 prod_{i<j}(1-x_i x_j) and optionally prod(1-x_i^2); each orbit is
 symmetric, so its product with s_lambda = a_{lambda+delta} / a_delta is
@@ -56,8 +57,8 @@ and expands the family's character and the 2^n n!-term alternants only
 to locate a failure.  Nothing is ever divided or
 rounded.  Every failure is named by ``_first_discrepancy``:
 the first offending monomial, in graded-lexicographic order, of the two
-sides expanded as polynomials (the Schur-basis checks expand only their
-lowest differing degree).
+sides expanded as polynomials (the Schur-basis checks expand only the
+Kostka sums of their lowest differing degree).
 """
 
 from __future__ import annotations
@@ -496,16 +497,27 @@ def verify_parafermion_identity(n: int, p: int) -> VerificationReport:
     shifted character is the character of L(p theta), decided on its
     C(n + p, n) Kostka sums, the right side is the one term D_{rho + p theta}
     (``_parafermion_times``), so neither L nor either side is expanded into
-    monomials.  Any other family takes ``_denominator_times``; a failure
-    expands only its lowest differing degree, to name the monomial.
+    monomials.  Any other family is carried by ``_denominator_times`` only
+    through the caps ``_located_discrepancy`` deepens to, up to the maps'
+    top degree; a failure expands only its lowest differing degree, to name
+    the monomial.
     """
     n, p = _integer(n, "n", 1), _integer(p, "p")
     lhs = _euler_characteristic(cohomology_via_partitions(n, p).entries)
     family = list(enumerate_partitions(max_part=p, max_length=n))
     rhs = _parafermion_times(n, p, family)
-    if rhs is None:
-        rhs = _denominator_times(n, False, family)
-    return VerificationReport("parafermion", n, None, p, None, _schur_discrepancy(lhs, rhs, n))
+    if rhs is not None:
+        disc = _schur_discrepancy(lhs, rhs, n)
+    else:
+        # L has degree n + 2 C(n, 2) = n^2, so the carry's top degree is the
+        # family's top plus n^2, read off the family itself (a diagram with
+        # more than n rows vanishes)
+        sizes = [lam.size for lam in family if len(lam) <= n]
+        top = max(max(map(sum, lhs), default=0), max(sizes, default=0) + n * n)
+        disc = _located_discrepancy(
+            lhs, lambda cap: _denominator_times(n, False, family, cap), n, top
+        )
+    return VerificationReport("parafermion", n, None, p, None, disc)
 
 
 def _parafermion_times(n: int, p: int, family) -> dict[tuple[int, ...], int] | None:
@@ -594,10 +606,31 @@ def verify_paraboson_identity(
     to |nu| <= D, conjugated and cut to at most n rows.  The symmetric
     variant is that times prod(1-x_i^2), the omega image of no parafermion
     map; its failure at degree 2 is the factor's -sum x_i^2.
+
+    The symmetric maps are the printed maps times the orbit prod(1-x_i^2).
+    Its left side is the printed one, and ``_denominator_times`` takes the
+    symmetric variant's orbits in the printed order with the squares last,
+    straightening after each orbit; straightening is linear and commutes
+    with the symmetric factors, so the two printed orbits give the printed
+    map, and the squares multiply that.  Its failure is located at its own
+    degree by ``_located_discrepancy``: at each cap c the printed map cut
+    to |nu| <= c, an exact truncation since no factor has negative degree,
+    times the squares through c, is the symmetric map through c.  So one
+    printed carry serves both variants (``_paraboson_reports``), and the
+    symmetric one multiplies in only its last orbit, at the caps.
     """
+    return next(_paraboson_reports(n, p, valid_degree, (denominator,)))
+
+
+def _paraboson_reports(n: int, p: int, valid_degree: int, denominators):
+    """Yield ``verify_paraboson_identity``'s report for each of
+    ``denominators`` in turn, from one table, family and printed carry.
+    Each report is built when it is asked for, so a caller can time each
+    ``next``."""
     n, p = _integer(n, "n", 1), _integer(p, "p")
-    if denominator not in ("printed", "symmetric"):
-        raise ValueError(f"unknown denominator variant {denominator!r}")
+    for denominator in denominators:
+        if denominator not in ("printed", "symmetric"):
+            raise ValueError(f"unknown denominator variant {denominator!r}")
     D = _integer(valid_degree, "degree bound")
     N = min(n, max(D, 1))
     # [mu^(p)]' has alpha_1 + p + 1 rows, so only arms alpha_1 < N - p give a
@@ -610,9 +643,44 @@ def verify_paraboson_identity(
         if len(cols) <= N:
             lhs[cols] = c
     family = enumerate_partitions(max_length=min(p, N), max_size=D)
-    rhs = _denominator_times(N, denominator == "symmetric", family, D)
-    disc = _schur_discrepancy(lhs, rhs, n)
-    return VerificationReport("paraboson", n, None, p, D, disc, denominator=denominator)
+    printed = _denominator_times(N, False, family, D)
+    for denominator in denominators:
+        if denominator == "printed":
+            disc = _schur_discrepancy(lhs, printed, n)
+        else:
+            def symmetric(cap):
+                start = {nu: c for nu, c in printed.items() if sum(nu) <= cap}
+                return _times_orbit(N, start, [(i, i) for i in range(N)], cap)
+
+            disc = _located_discrepancy(lhs, symmetric, n, D)
+        yield VerificationReport("paraboson", n, None, p, D, disc, denominator=denominator)
+
+
+def _located_discrepancy(lhs: dict[tuple[int, ...], int], right, n: int, top: int) -> dict | None:
+    """``_schur_discrepancy(lhs, rhs, n)`` for the map rhs = ``right(top)``,
+    where ``right(c)`` is the right side through degree c and both maps
+    hold no nu with |nu| > top; ``right`` is called only at the caps 1, 2,
+    4, ..., clipped at top, up to the first at which the maps differ.
+
+    Every factor of a right side has non-negative degree, so the right map
+    through a cap c is an exact truncation of the whole map: its s_nu with
+    |nu| <= c, with their whole coefficients.  Cut to c, the left map is
+    too, so the cut maps differ exactly when the whole maps differ at some
+    |nu| <= c.  The first cap c at which they differ therefore holds the
+    lowest differing degree d <= c, and every s_nu of degree d on both
+    sides, which is all ``_schur_discrepancy`` expands: it locates the same
+    d and monomial, with the same coefficients, as the whole maps.  Each
+    cap at most doubles the last, so the carries up to the located cap cost
+    about twice the last one.
+    """
+    cap = 1
+    while True:
+        cap = min(cap, top)
+        cut = {nu: c for nu, c in lhs.items() if sum(nu) <= cap}
+        disc = _schur_discrepancy(cut, right(cap), n)
+        if disc is not None or cap == top:
+            return disc
+        cap *= 2
 
 
 def _denominator_times(
@@ -623,7 +691,11 @@ def _denominator_times(
 
     It serves the paraboson check, and the parafermion check when
     ``_parafermion_times`` cannot (a family whose shifted character is not
-    the character of L(p theta)).  s_nu = a_{nu+delta} / a_delta with a_v
+    the character of L(p theta)).  The checks carry the printed
+    denominator; the symmetric variant takes its last orbit, the 1-x_i^2,
+    from the printed map by ``_times_orbit``, one orbit's step of this
+    carry, and ``symmetric`` runs the whole carry that it cuts short,
+    which the tests compare with it.  s_nu = a_{nu+delta} / a_delta with a_v
     the S_n alternant and delta = (n-1, ..., 0), so the Schur sum,
     sum c_nu s_nu, is carried in whole units as the monomials
     sum c_nu x^{nu+delta}, whose antisymmetrization A(x^v) =
@@ -649,22 +721,31 @@ def _denominator_times(
         # s_lambda vanishes in n variables when lambda has more than n rows
         if len(lam) <= n and lam.size <= cap:
             coeffs[lam.parts] = coeffs.get(lam.parts, 0) + 1
-    delta = range(n - 1, -1, -1)
-    cut = cap + n * (n - 1) // 2
     # each factor 1 - x^e named by the variables in e: x_i, x_i x_j, x_i^2
     orbits = [[(i,) for i in range(n)], list(combinations(range(n), 2))]
     if symmetric:
         orbits.append([(i, i) for i in range(n)])
     for orbit in orbits:
-        terms = {
-            tuple(x + d for x, d in zip(nu + (0,) * (n - len(nu)), delta)): c
-            for nu, c in coeffs.items()
-        }
-        for variables in orbit:
-            e = tuple(variables.count(i) for i in range(n))
-            terms = _times_binomial(terms, e, -1, cut)
-        coeffs = _straightened(terms.items())
+        coeffs = _times_orbit(n, coeffs, orbit, cap)
     return coeffs
+
+
+def _times_orbit(
+    n: int, coeffs: dict[tuple[int, ...], int], orbit, cap
+) -> dict[tuple[int, ...], int]:
+    """One step of ``_denominator_times``: sum c_nu s_nu, every |nu| <= cap,
+    times the factors 1 - x^e of one S_n orbit, each e named by its
+    variables, through total degree ``cap``, as {nu: coefficient}."""
+    delta = range(n - 1, -1, -1)
+    cut = cap + n * (n - 1) // 2
+    terms = {
+        tuple(x + d for x, d in zip(nu + (0,) * (n - len(nu)), delta)): c
+        for nu, c in coeffs.items()
+    }
+    for variables in orbit:
+        e = tuple(variables.count(i) for i in range(n))
+        terms = _times_binomial(terms, e, -1, cut)
+    return _straightened(terms.items())
 
 
 def _schur_discrepancy(
@@ -676,18 +757,26 @@ def _schur_discrepancy(
     These s_nu are linearly independent and homogeneous of degree |nu|, so
     the monomials first disagree at the lowest |nu| = d where the maps
     differ.  Only the degree-d s_nu of each side are expanded, and
-    ``_first_discrepancy`` names the monomial.
+    ``_first_discrepancy`` names the monomial.  Both sides are symmetric, so
+    they differ on whole S_n orbits of monomials, and the first monomial of
+    an orbit in graded-lexicographic order is its increasing arrangement.
+    So each side is expanded only on the weakly decreasing exponent vectors,
+    its Kostka sums, and these are reversed: they name the same monomial,
+    with the same coefficients, as the whole expansions.
     """
     gap = {nu for nu in lhs.keys() | rhs.keys() if lhs.get(nu, 0) != rhs.get(nu, 0)}
     if not gap:
         return None
     d = min(sum(nu) for nu in gap)
     ctx = SchurContext(n)
-    lhs_d, rhs_d = (
-        _schur_expansion(((nu, c) for nu, c in side.items() if sum(nu) == d), ctx)
-        for side in (lhs, rhs)
-    )
-    return _first_discrepancy(lhs_d, rhs_d)
+
+    def increasing(side):
+        # the Kostka sums of the degree-d s_nu, each at its orbit's first monomial
+        pairs = ((nu, c) for nu, c in side.items() if sum(nu) == d)
+        kostka = _schur_expansion(pairs, ctx, dominant=True).terms
+        return MultiPoly._of(n, {e[::-1]: c for e, c in kostka.items()})
+
+    return _first_discrepancy(increasing(lhs), increasing(rhs))
 
 
 def verify_parastat_identity(n: int, m: int, p: int, valid_degree: int) -> VerificationReport:

@@ -263,16 +263,25 @@ def test_verify_timings_flag_unzeroes_millis(capsys):
 
 
 def test_only_verify_timings_reads_a_clock(capsys, monkeypatch):
-    reads = itertools.count()
-    monkeypatch.setattr(time, "perf_counter", lambda: float(next(reads)))
-    base = ("verify", "--identity", "paraboson", "--n", "1..2", "--p", "1", "--alt-denominator")
-    code, out, _ = run(capsys, *base)
-    assert code == 0 and [json.loads(line)["millis"] for line in out.splitlines()] == [0] * 4
-    assert next(reads) == 0
-    # the clock advances a second per read, and the CLI reads it around each check
-    code, out, _ = run(capsys, *base, "--timings")
-    assert code == 0
-    assert all(json.loads(line)["millis"] >= 1000 for line in out.splitlines())
+    cases = [
+        (("--identity", "paraboson", "--n", "1..2", "--p", "1", "--alt-denominator"), 4),
+        (("--identity", "paraboson", "--n", "1..2", "--p", "1"), 2),
+        (("--identity", "parafermion", "--n", "1..2", "--p", "1"), 2),
+    ]
+    for argv, count in cases:
+        reads = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda reads=reads: float(next(reads)))
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert [json.loads(line)["millis"] for line in out.splitlines()] == [0] * count
+        assert next(reads) == 0
+        # the clock advances a second per read, and the CLI reads it exactly
+        # twice per report, around the work that builds it: both reports of a
+        # paraboson pair, which share one carry, too
+        code, out, _ = run(capsys, "verify", *argv, "--timings")
+        assert code == 0
+        assert [json.loads(line)["millis"] for line in out.splitlines()] == [1000] * count
+        assert next(reads) == 1 + 2 * count, argv
 
 
 def test_verify_weyl_character(capsys):

@@ -10,10 +10,11 @@ import time
 from itertools import combinations, count, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parafock import kostant, partitions, polyring, weyl
+from parafock.cli import main
 from parafock.kostant import (
     CohomologyEntry,
     CohomologyTable,
@@ -688,12 +689,63 @@ def test_paraboson_schur_basis_matches_the_monomial_product():
     assert failures > 0
 
 
+@pytest.mark.parametrize("D", [0, 1, 2, 5, 8])
+def test_alt_denominator_pairs_match_the_monomial_product(capsys, D):
+    # the CLI builds each pair from one printed carry, printed line first
+    code = main(["verify", "--identity", "paraboson", "--alt-denominator", "--n", "1..4",
+                 "--p", "0..3", "--degree", str(D)])
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    cases = [(n, p, den) for n in range(1, 5) for p in range(4) for den in ("printed", "symmetric")]
+    assert [(r["n"], r["p"], r["denominator"]) for r in reports] == cases
+    for r, (n, p, den) in zip(reports, cases):
+        expected = _identity_by_product(n, p, D, den)
+        assert (r["status"], r["first_discrepancy"]) == expected, (n, p, D, den)
+
+
+def _doubling_caps(d, top):
+    """The caps a located check carries its right side through: 1, 2, 4,
+    ..., up to the first power of two at or above the lowest differing
+    degree d (every one, if d is None), the last clipped at top."""
+    stop = top if d is None else min(top, 1 << max(d - 1, 0).bit_length())
+    return [1 << k for k in range(stop.bit_length()) if 1 << k < stop] + [stop]
+
+
+def test_doubling_caps():
+    assert _doubling_caps(14, 63) == [1, 2, 4, 8, 16]
+    assert _doubling_caps(16, 63) == [1, 2, 4, 8, 16]
+    assert _doubling_caps(5, 6) == [1, 2, 4, 6]
+    assert _doubling_caps(0, 6) == _doubling_caps(1, 6) == [1]
+    assert _doubling_caps(2, 10) == [1, 2]
+    assert _doubling_caps(None, 8) == [1, 2, 4, 8]
+    assert _doubling_caps(None, 0) == [0]
+
+
+def _spy_on_caps(monkeypatch):
+    """The caps at which ``_located_discrepancy`` asks for the right side."""
+    caps, real = [], kostant._located_discrepancy
+
+    def spy(lhs, right, n, top):
+        return real(lhs, lambda cap: caps.append(cap) or right(cap), n, top)
+
+    monkeypatch.setattr(kostant, "_located_discrepancy", spy)
+    return caps
+
+
+def _parafermion_top(n, p, family):
+    """The top degree of the parafermion maps at a family: the table's
+    largest diagram, or the family's largest in n variables plus the degree
+    n + 2 C(n, 2) = n^2 of the denominator."""
+    table = max(e.diagram.size for e in cohomology_via_partitions(n, p).entries)
+    return max(table, max((lam.size for lam in family if len(lam) <= n), default=0) + n * n)
+
+
 @pytest.mark.parametrize("perturb", PERTURBATIONS, ids=PERTURBATION_IDS)
 @pytest.mark.parametrize(
     "case",
     [(1, 1, None, "printed"), (2, 2, None, "printed"), (3, 1, None, "printed"),
-     (3, 2, None, "printed"), (2, 1, 5, "printed"), (3, 1, 6, "printed"),
-     (4, 2, 8, "printed"), (3, 1, 6, "symmetric")],
+     (3, 2, None, "printed"), (1, 4, None, "printed"), (2, 1, 5, "printed"),
+     (3, 1, 6, "printed"), (4, 2, 8, "printed"), (3, 1, 6, "symmetric")],
     ids=str,
 )
 def test_perturbed_branching_family_fails_where_the_product_does(monkeypatch, case, perturb):
@@ -706,16 +758,76 @@ def test_perturbed_branching_family_fails_where_the_product_does(monkeypatch, ca
 
     _perturbed_family(monkeypatch, perturb)
     monkeypatch.setattr(kostant, "_denominator_times", spy_times)
+    caps = _spy_on_caps(monkeypatch)
     n, p, D, den = case
+    expected = _identity_by_product(n, p, D, den)
+    assert expected[0] == "fail"
+    d = expected[1]["degree"]
     if D is None:
         rep = verify_parafermion_identity(n, p)
-        # a family whose character is not L(p theta)'s takes the denominator
-        assert fallbacks == [None]
+        # a family whose character is not L(p theta)'s takes the denominator,
+        # through each cap up to the one that holds the located degree
+        family = kostant.enumerate_partitions(max_part=p, max_length=n)
+        assert fallbacks == caps == _doubling_caps(d, _parafermion_top(n, p, family))
     else:
         rep = verify_paraboson_identity(n, p, D, den)
+        # one printed carry through D; the symmetric variant multiplies its
+        # squares into it at the caps
         assert fallbacks == [D]
-    assert rep.status == "fail"
-    assert (rep.status, rep.first_discrepancy) == _identity_by_product(n, p, D, den)
+        assert caps == (_doubling_caps(d, D) if den == "symmetric" else [])
+    assert (rep.status, rep.first_discrepancy) == expected
+
+
+def test_a_failure_past_the_last_power_of_two_is_located_at_the_top(monkeypatch):
+    # one more diagram (5) at (1, 1): the maps differ first at degree 5, past
+    # the table's top 2 and the cap 4, and the family's top 5 + 1 clips the cap
+    _perturbed_family(monkeypatch, lambda family, kwargs: family + [Partition([5])])
+    caps = _spy_on_caps(monkeypatch)
+    rep = verify_parafermion_identity(1, 1)
+    assert caps == [1, 2, 4, 6]
+    assert rep.first_discrepancy == {"degree": 5, "monomial": [10], "lhs": "0", "rhs": "1"}
+    assert (rep.status, rep.first_discrepancy) == _identity_by_product(1, 1)
+
+
+box_perturbations = st.one_of(
+    st.tuples(st.sampled_from(["drop", "duplicate"]), st.integers(0, 63)),
+    st.tuples(
+        st.just("add"),
+        st.lists(st.integers(1, 7), max_size=5).map(
+            lambda parts: Partition(sorted(parts, reverse=True))
+        ),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), box_perturbations)
+@example(1, 1, ("add", Partition([5])))
+@example(1, 4, ("add", Partition([5])))
+@example(2, 2, ("drop", 63))
+def test_located_failure_is_the_whole_carrys(n, p, perturbation):
+    # the locator stops at the first cap that holds the lowest differing
+    # degree, and reports what the carry through every degree reports
+    family = list(enumerate_partitions(max_part=p, max_length=n))
+    kind, arg = perturbation
+    if kind == "add":
+        family.append(arg)
+    else:
+        i = arg % len(family)
+        family[i:i + 1] = [] if kind == "drop" else [family[i]] * 2
+    lhs = kostant._euler_characteristic(cohomology_via_partitions(n, p).entries)
+    whole = kostant._schur_discrepancy(lhs, kostant._denominator_times(n, False, family), n)
+    passes = kostant._is_level_p_character(n, p, family)
+    assert passes == (whole is None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kostant, "enumerate_partitions", lambda **kwargs: family)
+        caps = _spy_on_caps(mp)
+        rep = verify_parafermion_identity(n, p)
+    assert rep.first_discrepancy == whole
+    if passes:
+        assert caps == []
+    else:
+        assert caps == _doubling_caps(whole["degree"], _parafermion_top(n, p, family))
 
 
 @functools.cache
@@ -1049,9 +1161,18 @@ def test_paraboson_maps_need_only_min_n_d_variables(monkeypatch, D):
                     assert maps == _paraboson_maps(D, p, D, symmetric), case
                 carried.clear()
                 compared.clear()
-                verify_paraboson_identity(n, p, D, "symmetric" if symmetric else "printed")
+                rep = verify_paraboson_identity(n, p, D, "symmetric" if symmetric else "printed")
+                # one printed carry, for either variant
                 assert carried == [min(n, max(D, 1))], case
-                assert compared == [(*maps, n)], case
+                if not symmetric:
+                    assert compared == [(*maps, n)], case
+                    continue
+                # the symmetric maps, cut at each cap up to the located degree
+                d = rep.first_discrepancy["degree"] if rep.first_discrepancy else None
+                assert compared == [
+                    (*({nu: c for nu, c in side.items() if sum(nu) <= cap} for side in maps), n)
+                    for cap in _doubling_caps(d, D)
+                ], case
 
 
 @pytest.mark.parametrize("n, p, D", [(12, 1, 8), (11, 2, 8), (13, 3, 9)])
